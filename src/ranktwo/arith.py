@@ -1,8 +1,7 @@
 """Exact integer arithmetic kernel.
 
 Divisors, Euler's totient, the Mobius function, Dirichlet convolution,
-trial-division factorization, and evaluation of two-variable multiplicative
-functions from their prime-power local values.
+and trial-division factorization.
 
 All inputs are positive integers in 64-bit range.  Zero and negative inputs
 are rejected, and any product that would leave the 64-bit range raises
@@ -137,25 +136,3 @@ def dirichlet(f: ArithmeticFn, g: ArithmeticFn, n: int) -> int:
         total = checked_add(total, checked_mul(f(d), g(n // d)))
     return total
 
-
-def multiplicative_eval_2var(
-    local: Callable[[int, int, int], int], m: int, n: int
-) -> int:
-    """Evaluate a two-variable multiplicative function F(m, n).
-
-    `local` gives the prime-power value F(p^alpha, p^beta); the result is the
-    product of local(p, v_p(m), v_p(n)) over every prime p dividing m*n.
-    One of the exponents may be zero.  F(1, 1) = 1 is assumed (empty product).
-    """
-    check_nat(m, "m")
-    check_nat(n, "n")
-    exps: dict[int, list[int]] = {}
-    for p, e in factorize(m):
-        exps.setdefault(p, [0, 0])[0] = e
-    for p, e in factorize(n):
-        exps.setdefault(p, [0, 0])[1] = e
-    result = 1
-    for p in sorted(exps):
-        alpha, beta = exps[p]
-        result = checked_mul(result, local(p, alpha, beta))
-    return result

@@ -68,20 +68,18 @@ def cmd_count(args) -> int:
     filters = [args.order is not None, args.type is not None, args.cyclic]
     if sum(filters) > 1:
         raise CliError("at most one of --order, --type, --cyclic may be given")
+    order = key = None
     if args.order is not None:
-        delta = _positive(args.order, "order")
-        value = counting.count_by_order(m, n, delta)
-        label = {"order": delta}
+        order = _positive(args.order, "order")
+        label = {"order": order}
     elif args.type is not None:
         key = _parse_type(args.type)
-        value = counting.count_by_type(m, n, key)
         label = {"type": [key.A, key.B]}
     elif args.cyclic:
-        value = counting.count_cyclic(m, n)
         label = {"cyclic": True}
     else:
-        value = counting.count_total(m, n)
         label = {}
+    value = counting.count_subgroups(m, n, order=order, key=key, cyclic=args.cyclic)
 
     if args.format == "json":
         print(json.dumps({"ambient": [m, n], "filter": label or None, "count": value}))

@@ -1,8 +1,12 @@
-"""Closed-form subgroup counts for Z_m x Z_n.
+"""Subgroup counts for Z_m x Z_n.
 
-Total count, count by order, count by isomorphism type, cyclic counts,
-prime-power closed forms, a multiplicative fast path, and an aggregate
-table builder.  Everything is exact integer arithmetic.
+Every count the library reports comes from one per-prime engine: the
+local table of Z_{p^alpha} x Z_{p^beta} from the (a, b, c, d, l)
+parametrization, multiplied over the primes of m*n (`local_table`,
+`count_subgroups`, `build_table`).  The paper's divisor-sum identities
+(total, by order, by type, cyclic) and prime-power closed forms stay as
+library functions, checked against the engine and the brute-force oracle.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from .arith import (
     checked_mul,
     divisors,
     euler_phi,
+    factorize,
     is_prime,
     mobius,
-    multiplicative_eval_2var,
     tau,
 )
 
@@ -177,47 +181,117 @@ def count_cyclic_by_order(m: int, n: int, delta: int) -> int:
     return total
 
 
-def count_total_fast(m: int, n: int) -> int:
-    """Total subgroup count via the product of prime-power local values.
 
-    At primes dividing only one of m, n the local factor degenerates to
-    the divisor count (alpha + beta + 1); otherwise the rank-two closed
-    form applies with the exponents in sorted order.
+
+def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int, int], int]:
+    """Subgroup counts of Z_{p^alpha} x Z_{p^beta}, keyed by (c, i, j).
+
+    A subgroup under key (c, i, j) has order p^c and type Z_{p^i} x Z_{p^j}.
+    The tuples are a = p^x, b = p^y, e = a/b = p^(x-y), c = p^z with
+    z >= x-y, and d = c/e = p^w; the order is a*d and the type is
+    (gcd(b, d), lcm(a, c)).  Each tuple stands for its phi(e) choices of l,
+    so l is never iterated.  Either exponent may be zero.
     """
+    table: dict[tuple[int, int, int], int] = {}
+    for x in range(alpha + 1):
+        for y in range(x + 1):
+            k = x - y
+            phi = p**k - p ** (k - 1) if k else 1
+            for z in range(k, beta + 1):
+                w = z - k
+                key = (x + w, min(y, w), max(x, z))
+                table[key] = table.get(key, 0) + phi
+    return table
 
-    def local(p: int, alpha: int, beta: int) -> int:
-        if min(alpha, beta) == 0:
-            return alpha + beta + 1
-        return count_total_prime_power(p, min(alpha, beta), max(alpha, beta))
 
-    return multiplicative_eval_2var(local, m, n)
+def _exponents(m: int, n: int) -> dict[int, tuple[int, int]]:
+    """(v_p(m), v_p(n)) for every prime p of m*n."""
+    exps = {p: (e, 0) for p, e in factorize(m)}
+    for p, e in factorize(n):
+        exps[p] = (exps.get(p, (0, 0))[0], e)
+    return exps
+
+
+def _split(x: int, p: int) -> tuple[int, int]:
+    """(v_p(x), x with every factor p divided out)."""
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e, x
+
+
+def count_subgroups(
+    m: int,
+    n: int,
+    *,
+    order: int | None = None,
+    key: TypeKey | None = None,
+    cyclic: bool = False,
+) -> int:
+    """Number of subgroups, optionally only those of one order, one type, or cyclic.
+
+    Filters given together intersect.  The count is the product over the
+    primes of m*n of local lookups; an order or type with a prime factor
+    outside m*n gives 0.  Only m and n are factored, never m*n.
+    """
+    check_nat(m, "m")
+    check_nat(n, "n")
+    rest = 1 if order is None else check_nat(order, "order")
+    u, v = (1, 1) if key is None else (key.A, key.B)
+    factors = []
+    for p, (alpha, beta) in _exponents(m, n).items():
+        want_c, rest = _split(rest, p)
+        want_i, u = _split(u, p)
+        want_j, v = _split(v, p)
+        factors.append(sum(
+            cnt for (c, i, j), cnt in local_table(p, alpha, beta).items()
+            if (order is None or c == want_c)
+            and (key is None or (i, j) == (want_i, want_j))
+            and (not cyclic or i == 0)
+        ))
+    if rest != 1 or u != 1 or v != 1 or 0 in factors:
+        return 0
+    result = 1
+    for f in factors:
+        result = checked_mul(result, f)
+    return result
 
 
 def build_table(m: int, n: int) -> SubgroupTable:
-    """Aggregate report from the closed forms only; zero-count rows omitted."""
+    """Aggregate report as the product of the local tables at each prime of m*n.
+
+    Orders and (u, v) multiply prime by prime, so no key is reached twice;
+    zero-count rows never arise.  Refuses m*n past 64 bits.
+    """
     check_nat(m, "m")
     check_nat(n, "n")
-    total = count_total(m, n)
-    by_order = {}
-    for delta in divisors(m * n):
-        cnt = count_by_order(m, n, delta)
-        if cnt:
-            by_order[delta] = cnt
-    by_type = {}
-    for A in divisors(gcd(m, n)):
-        for B in divisors(m * n // A):
-            if B % A != 0:
-                continue
-            key = TypeKey(A, B)
-            cnt = count_by_type(m, n, key)
-            if cnt:
-                by_type[key] = cnt
-    cyclic = count_cyclic(m, n)
+    check_nat(m * n, "m*n")
+    total = cyclic = 1
+    by_order = {1: 1}
+    by_type = {(1, 1): 1}
+    for p, (alpha, beta) in _exponents(m, n).items():
+        local = local_table(p, alpha, beta)
+        local_order: dict[int, int] = {}
+        for (c, _, _), cnt in local.items():
+            local_order[c] = local_order.get(c, 0) + cnt
+        by_order = {
+            o * p**c: checked_mul(cnt, lc)
+            for o, cnt in by_order.items()
+            for c, lc in local_order.items()
+        }
+        by_type = {
+            (u * p**i, v * p**j): checked_mul(cnt, lc)
+            for (u, v), cnt in by_type.items()
+            for (_, i, j), lc in local.items()
+        }
+        total = checked_mul(total, sum(local.values()))
+        cyclic = checked_mul(cyclic, sum(cnt for (_, i, _), cnt in local.items() if i == 0))
     return SubgroupTable(
         ambient=(m, n),
         total=total,
-        by_order=by_order,
-        by_type=by_type,
+        by_order=dict(sorted(by_order.items())),
+        by_type={TypeKey(u, v): cnt for (u, v), cnt in sorted(by_type.items())},
         cyclic_total=cyclic,
         noncyclic_total=total - cyclic,
     )

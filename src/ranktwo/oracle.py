@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .counting import (
     TypeKey,
+    build_table,
     count_by_order,
     count_by_type,
     count_cyclic,
@@ -120,7 +121,7 @@ def classify(s: ElementSet) -> tuple[int, int, InvariantPair]:
 
 
 def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
-    """Compare brute force against the tuple enumeration and every counter."""
+    """Compare brute force against the tuple enumeration, every counter and build_table."""
     brute = brute_subgroups(m, n, bound)
 
     by_order: dict[int, int] = {}
@@ -169,6 +170,20 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
     actual_cyclic = count_cyclic(m, n)
     if cyclic != actual_cyclic:
         mismatch("cyclic", None, cyclic, actual_cyclic)
+
+    # the per-prime engine behind `table` and `count`, compared as whole tables
+    table = build_table(m, n)
+    if table.total != len(brute):
+        mismatch("table_total", None, len(brute), table.total)
+    table_types = {(k.A, k.B): c for k, c in table.by_type.items()}
+    brute_types = {(k.A, k.B): c for k, c in by_type.items()}
+    for side, expected, actual in (("table_by_order", by_order, table.by_order),
+                                   ("table_by_type", brute_types, table_types)):
+        for key in sorted(expected.keys() | actual.keys()):
+            if expected.get(key) != actual.get(key):
+                mismatch(side, key, expected.get(key), actual.get(key))
+    if table.cyclic_total != cyclic:
+        mismatch("table_cyclic", None, cyclic, table.cyclic_total)
 
     enumerated = {materialize(m, n, t) for t in enumerate_tuples(m, n)}
     if enumerated != brute:

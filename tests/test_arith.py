@@ -162,32 +162,41 @@ def test_check_nat_overflow():
         arith.check_nat(2**64)
 
 
-# --- multiplicative_eval_2var ------------------------------------------------------
+# --- multiplicative evaluation over the primes of m and n --------------------------
+# The per-prime engine in `counting` is the product of local values over the primes
+# of m and n; these checks pin that product against the prime factorization.
+
+def _prime_power_parts(m, n):
+    """(p, p^v_p(m), p^v_p(n)) for every prime p of m*n, primes found by scan."""
+    parts = []
+    for p in range(2, m * n + 1):
+        if (m * n) % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        pm = pn = 1
+        while m % (pm * p) == 0:
+            pm *= p
+        while n % (pn * p) == 0:
+            pn *= p
+        parts.append((p, pm, pn))
+    return parts
+
 
 def test_multiplicative_eval_trivial():
-    assert arith.multiplicative_eval_2var(lambda p, a, b: 99, 1, 1) == 1
+    from ranktwo.counting import build_table, count_subgroups
 
-
-def test_multiplicative_eval_s_local():
-    from ranktwo.counting import count_total, count_total_prime_power
-
-    def local(p, alpha, beta):
-        if min(alpha, beta) == 0:
-            return alpha + beta + 1
-        return count_total_prime_power(p, min(alpha, beta), max(alpha, beta))
-
-    assert arith.multiplicative_eval_2var(local, 12, 18) == 80
-    assert arith.multiplicative_eval_2var(local, 4, 2) == count_total(4, 2)
+    assert arith.factorize(1) == []
+    assert count_subgroups(1, 1) == 1
+    assert build_table(1, 1).total == 1
 
 
 def test_multiplicative_eval_reproduces_generic_sums():
     # local values derived from the generic double sum itself
-    from ranktwo.counting import count_total_reference
-
-    def local(p, alpha, beta):
-        return count_total_reference(p**alpha, p**beta)
+    from ranktwo.counting import count_subgroups, count_total_reference
 
     for m in range(1, 61):
         for n in range(1, 61):
-            assert arith.multiplicative_eval_2var(local, m, n) == \
-                count_total_reference(m, n)
+            product = 1
+            for _, pm, pn in _prime_power_parts(m, n):
+                product *= count_total_reference(pm, pn)
+            assert product == count_total_reference(m, n) == \
+                count_subgroups(m, n), (m, n)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -73,6 +74,27 @@ def test_count_formats_agree(capsys):
     assert int(rows[1][0]) == value
 
 
+def test_count_order_outside_the_group(capsys):
+    code, out, _ = run(capsys, "count", "12", "18", "--order", "7")
+    assert code == 0
+    assert out == "0\n"
+
+
+def test_count_type_outside_a_product_past_64_bits(capsys):
+    # m*n exceeds 64 bits; only m and n themselves need to fit
+    code, out, _ = run(capsys, "count", "4294967296", "4294967297", "--type", "1,3")
+    assert code == 0
+    assert out == "0\n"
+
+
+def test_count_rejects_order_past_64_bits(capsys):
+    code, out, err = run(capsys, "count", "4294967296", "4294967296",
+                         "--order", "18446744073709551616")
+    assert code == 2
+    assert out == ""
+    assert "exceeds 64-bit range" in err
+
+
 # --- table ---------------------------------------------------------------
 
 def test_table_golden(capsys):
@@ -125,6 +147,29 @@ def test_table_formats_agree(capsys):
         assert f"  {entry['order']}: {entry['count']}" in plain
     for entry in obj["by_type"]:
         assert rows[("type", f"{entry['a']}x{entry['b']}")] == entry["count"]
+
+
+def test_table_rejects_product_past_64_bits(capsys):
+    code, out, err = run(capsys, "table", "4294967296", "4294967296")
+    assert code == 2
+    assert out == ""
+    assert "exceeds 64-bit range" in err
+
+
+def test_table_highly_composite_is_fast(capsys):
+    from ranktwo import count_cyclic, count_total
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "table", "720720", "720720", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0
+    obj = json.loads(out)
+    schema = json.loads((SCHEMA_DIR / "subgroup_table.schema.json").read_text())
+    jsonschema.validate(obj, schema)
+    assert obj["total"] == count_total(720720, 720720) == 34209280
+    assert obj["cyclic"] == count_cyclic(720720, 720720)
+    assert obj["total"] == sum(r["count"] for r in obj["by_order"])
+    assert obj["total"] == sum(r["count"] for r in obj["by_type"])
 
 
 # --- enumerate -------------------------------------------------------------

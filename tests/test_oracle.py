@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle and the cross-check machinery."""
 
+import dataclasses
 import pytest
 
 from ranktwo import (
@@ -105,6 +106,22 @@ def test_cross_check_sweep_12():
         for n in range(1, 13):
             report = cross_check(m, n)
             assert report.ok, (m, n, report.mismatches)
+
+
+def test_cross_check_flags_a_wrong_table(monkeypatch):
+    from ranktwo import build_table, oracle
+
+    def skewed(m, n):
+        table = build_table(m, n)
+        by_order = dict(table.by_order)
+        by_order[2] += 1
+        return dataclasses.replace(table, by_order=by_order, cyclic_total=0)
+
+    monkeypatch.setattr(oracle, "build_table", skewed)
+    report = cross_check(12, 18)
+    assert not report.ok
+    assert ("table_by_order", 2, 3, 4) in report.mismatches
+    assert ("table_cyclic", None, 48, 0) in report.mismatches
 
 
 def test_oracle_equals_enumeration_up_to_256():
