@@ -1,13 +1,6 @@
 """Subgroup enumeration, classification, and counting for Z_m x Z_n."""
 
-from .arith import (
-    dirichlet,
-    divisors,
-    euler_phi,
-    factorize,
-    mobius,
-    tau,
-)
+from .arith import divisors, tau
 from .counting import (
     SubgroupTable,
     TypeKey,
@@ -27,21 +20,18 @@ from .goursat import (
     ElementSet,
     GoursatTuple,
     InvariantPair,
-    SubgroupDescriptor,
     describe,
     enumerate_tuples,
     find_tuple,
     materialize,
     offset_form,
 )
-from .oracle import OracleReport, brute_subgroups, classify, cross_check
+from .oracle import brute_subgroups, classify, cross_check
 
 __all__ = [
     "ElementSet",
     "GoursatTuple",
     "InvariantPair",
-    "OracleReport",
-    "SubgroupDescriptor",
     "SubgroupTable",
     "TypeKey",
     "brute_subgroups",
@@ -59,14 +49,10 @@ __all__ = [
     "count_total_reference",
     "cross_check",
     "describe",
-    "dirichlet",
     "divisors",
     "enumerate_tuples",
-    "euler_phi",
-    "factorize",
     "find_tuple",
     "materialize",
-    "mobius",
     "offset_form",
     "tau",
 ]

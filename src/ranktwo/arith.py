@@ -92,12 +92,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def is_prime(n: int) -> bool:
     check_nat(n)
-    if n == 1:
-        return False
-    for p in range(2, isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n > 1 and _factorize(n) == ((n, 1),)
 
 
 def euler_phi(n: int) -> int:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
 from . import counting, goursat, oracle
+from .arith import check_nat
 from .counting import TypeKey
 
 EXIT_OK = 0
@@ -149,38 +151,38 @@ def cmd_table(args) -> int:
 # --- enumerate -----------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    m = _positive(args.m, "m")
-    n = _positive(args.n, "n")
-    descriptors = []
-    for i, t in enumerate(goursat.enumerate_tuples(m, n)):
-        if args.limit is not None and i >= args.limit:
-            break
-        descriptors.append(goursat.describe(m, n, t))
+    m = check_nat(_positive(args.m, "m"), "m")
+    n = check_nat(_positive(args.n, "n"), "n")
+    if args.limit is not None and not 0 <= args.limit <= sys.maxsize:
+        raise CliError(f"--limit must be in 0..{sys.maxsize}, got {args.limit}")
+    tuples = itertools.islice(goursat.enumerate_tuples(m, n), args.limit)
+    descriptors = (goursat.describe(m, n, t) for t in tuples)
 
     if args.format == "json":
-        records = []
+        sys.stdout.write(f'{{"ambient": [{m}, {n}], "subgroups": [')
+        sep = ""
         for d in descriptors:
             t = d.tuple
-            records.append({
+            sys.stdout.write(sep + json.dumps({
                 "tuple": [t.a, t.b, t.c, t.d, t.ell],
                 "order": d.order,
                 "exponent": d.exponent,
                 "invariants": [d.invariants.u, d.invariants.v],
                 "cyclic": d.cyclic,
                 "generators": [list(g) for g in d.generators],
-            })
-        print(json.dumps({"ambient": [m, n], "subgroups": records}))
+            }))
+            sep = ", "
+        sys.stdout.write("]}\n")
     elif args.format == "csv":
-        rows = []
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["a", "b", "c", "d", "ell", "order", "exponent", "inv_u",
+                         "inv_v", "cyclic", "gen1_x", "gen1_y", "gen2_x", "gen2_y"])
         for d in descriptors:
             t = d.tuple
             (g1x, g1y), (g2x, g2y) = d.generators
-            rows.append([t.a, t.b, t.c, t.d, t.ell, d.order, d.exponent,
-                         d.invariants.u, d.invariants.v, int(d.cyclic),
-                         g1x, g1y, g2x, g2y])
-        header = ["a", "b", "c", "d", "ell", "order", "exponent",
-                  "inv_u", "inv_v", "cyclic", "gen1_x", "gen1_y", "gen2_x", "gen2_y"]
-        print(_csv_dump(header, rows), end="")
+            writer.writerow([t.a, t.b, t.c, t.d, t.ell, d.order, d.exponent,
+                             d.invariants.u, d.invariants.v, int(d.cyclic),
+                             g1x, g1y, g2x, g2y])
     else:
         for d in descriptors:
             (g1x, g1y), (g2x, g2y) = d.generators
@@ -260,6 +262,8 @@ def _report_obj(report: oracle.OracleReport) -> dict:
 
 def cmd_verify(args) -> int:
     bound = args.bound
+    if bound < 1:
+        raise CliError(f"--bound must be >= 1, got {bound}")
     if args.range is not None:
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
@@ -269,39 +273,50 @@ def cmd_verify(args) -> int:
             raise CliError("verify needs either m n or --range M N")
         pairs = [(_positive(args.m, "m"), _positive(args.n, "n"))]
 
-    reports = []
+    # (m, n, report), with report None for a sweep pair over the bound
+    checked = []
     for m, n in pairs:
         try:
-            reports.append(oracle.cross_check(m, n, bound))
+            checked.append((m, n, oracle.cross_check(m, n, bound)))
         except oracle.BoundExceededError as exc:
-            raise CliError(str(exc))
+            if args.range is None:
+                raise CliError(str(exc))
+            checked.append((m, n, None))
+    reports = [r for _, _, r in checked if r is not None]
+    skipped = [[m, n] for m, n, r in checked if r is None]
 
     total_mismatches = sum(len(r.mismatches) for r in reports)
 
     if args.format == "json":
-        print(json.dumps({
+        obj = {
             "pairs": [_report_obj(r) for r in reports],
             "total_mismatches": total_mismatches,
-        }))
+        }
+        if skipped:
+            obj["skipped"] = skipped
+        print(json.dumps(obj))
     elif args.format == "csv":
-        rows = [[r.ambient[0], r.ambient[1], r.subgroup_count, len(r.mismatches)]
-                for r in reports]
+        rows = [[m, n, r.subgroup_count, len(r.mismatches)] if r else [m, n, "", ""]
+                for m, n, r in checked]
         print(_csv_dump(["m", "n", "subgroups", "mismatches"], rows), end="")
     else:
-        if len(reports) == 1:
+        if len(checked) == 1:
             r = reports[0]
             status = "OK" if r.ok else "FAIL"
             print(f"{status}, {r.subgroup_count} subgroups, {len(r.mismatches)} mismatches")
             for side, key, exp, act in r.mismatches:
                 print(f"  mismatch {side} key={key}: oracle={exp} formula={act}")
         else:
-            for r in reports:
+            for m, n, r in checked:
+                if r is None:
+                    print(f"{m} {n}: SKIP (m*n = {m * n} exceeds bound {bound})")
+                    continue
                 status = "OK" if r.ok else "FAIL"
-                print(f"{r.ambient[0]} {r.ambient[1]}: {status} "
-                      f"({r.subgroup_count} subgroups)")
+                print(f"{m} {n}: {status} ({r.subgroup_count} subgroups)")
                 for side, key, exp, act in r.mismatches:
                     print(f"  mismatch {side} key={key}: oracle={exp} formula={act}")
-            print(f"{len(reports)} pairs checked, {total_mismatches} mismatches")
+            skip_note = f"{len(skipped)} skipped, " if skipped else ""
+            print(f"{len(reports)} pairs checked, {skip_note}{total_mismatches} mismatches")
 
     return EXIT_OK if total_mismatches == 0 else EXIT_MISMATCH
 

@@ -18,6 +18,7 @@ from .arith import (
     check_nat,
     checked_add,
     checked_mul,
+    dirichlet,
     divisors,
     euler_phi,
     factorize,
@@ -145,14 +146,11 @@ def count_cyclic(m: int, n: int) -> int:
     """Number of cyclic subgroups, as sum of (mu*phi)(t)*tau(m/t)*tau(n/t)."""
     check_nat(m, "m")
     check_nat(n, "n")
-
-    def mu_star_phi(t: int) -> int:
-        return sum(mobius(d) * euler_phi(t // d) for d in divisors(t))
-
     total = 0
     for t in divisors(gcd(m, n)):
+        mu_star_phi = dirichlet(mobius, euler_phi, t)
         total = checked_add(
-            total, checked_mul(mu_star_phi(t), checked_mul(tau(m // t), tau(n // t)))
+            total, checked_mul(mu_star_phi, checked_mul(tau(m // t), tau(n // t)))
         )
     return total
 

@@ -172,36 +172,36 @@ def offset_form(m: int, n: int, t: GoursatTuple) -> list[tuple[int, int]]:
     return [(i, -((i * t.ell * t.d) // t.c)) for i in range(t.a)]
 
 
-def _assert_closed(s: ElementSet) -> None:
-    m, n = s.ambient
-    pts = set(s.elements)
-    if (0, 0) not in pts:
-        raise NotASubgroupError("missing identity element (0, 0)")
-    for x1, y1 in pts:
-        for x2, y2 in pts:
-            if ((x1 + x2) % m, (y1 + y2) % n) not in pts:
-                raise NotASubgroupError(
-                    f"not closed: ({x1},{y1}) + ({x2},{y2}) escapes the set"
-                )
-
-
 def find_tuple(m: int, n: int, s: ElementSet) -> GoursatTuple:
-    """Invert materialize: recover the unique tuple naming the subgroup s."""
+    """Invert materialize: read the unique tuple naming the subgroup s off s.
+
+    a and c are the sizes of the two projections, d the size of the x = 0
+    column and b = a*d/c.  Every element over x = m/a has y = (l + j*a/b)*n/c,
+    which gives l.  One comparison with materialize proves s is a subgroup.
+    """
     check_nat(m, "m")
     check_nat(n, "n")
-    _assert_closed(s)
+    if not s.elements:
+        raise NotASubgroupError("the empty set is not a subgroup")
     a = len({x for x, _ in s.elements})
     d = sum(1 for x, _ in s.elements if x == 0)
     c = len({y for _, y in s.elements})
-    b = (a * d) // c
-    e = a // b
-    for ell in range(1, e + 1):
-        if gcd(ell, e) != 1:
-            continue
-        t = GoursatTuple(a, b, c, d, ell)
+    b, rem = divmod(a * d, c)
+    if rem or b < 1 or a % b or n % c:
+        raise NotASubgroupError(
+            f"projection sizes a = {a}, c = {c} and column size d = {d} "
+            f"fit no subgroup of Z_{m} x Z_{n}"
+        )
+    x1 = (m // a) % m
+    y1 = next((y for x, y in s.elements if x == x1), None)
+    if y1 is None:
+        raise NotASubgroupError(f"no element has x = {x1}")
+    t = GoursatTuple(a, b, c, d, (y1 // (n // c) - 1) % (a // b) + 1)
+    try:
         if materialize(m, n, t) == s:
             return t
+    except TupleMembershipError:
+        pass
     raise NotASubgroupError(
-        f"no tuple reproduces the given {len(s)}-element subgroup of "
-        f"Z_{m} x Z_{n} (internal inconsistency)"
+        f"the given {len(s)}-element set is not a subgroup of Z_{m} x Z_{n}"
     )

@@ -146,6 +146,20 @@ def test_factorize_primes_are_prime(n):
         assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+# --- is_prime ------------------------------------------------------------------
+
+def test_is_prime_matches_divisor_scan():
+    for n in range(1, 5001):
+        assert arith.is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+
+
+def test_is_prime_large():
+    assert arith.is_prime(2**31 - 1)
+    assert not arith.is_prime(2**32 + 1)  # 641 * 6700417
+    with pytest.raises(ValueError):
+        arith.is_prime(0)
+
+
 # --- overflow guards ------------------------------------------------------------
 
 def test_checked_mul_overflow():

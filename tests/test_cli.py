@@ -217,6 +217,37 @@ def test_enumerate_csv(capsys):
     assert len(rows) == 6
 
 
+def test_enumerate_json_streams_one_document(capsys):
+    for argv in (["12", "18"], ["36", "48", "--limit", "5"], ["2", "2", "--limit", "0"]):
+        code, out, _ = run(capsys, "enumerate", *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+
+def test_enumerate_huge_group_with_limit_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", "720720", "720720", "--limit", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "12", "18", "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--limit" in err
+
+
+def test_enumerate_refuses_before_writing(capsys):
+    for fmt in ("plain", "json", "csv"):
+        code, out, err = run(capsys, "enumerate", str(2**64), "1", "--limit", "0",
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "exceeds 64-bit range" in err
+
+
 # --- figure ----------------------------------------------------------------
 
 def test_figure_golden(capsys):
@@ -306,3 +337,39 @@ def test_verify_bound_exceeded(capsys):
 def test_verify_missing_args(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
+
+
+def test_verify_range_skips_pairs_over_the_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4")
+    assert code == 0
+    assert "2 3: SKIP (m*n = 6 exceeds bound 4)" in out.splitlines()
+    assert out.splitlines()[-1] == "6 pairs checked, 3 skipped, 0 mismatches"
+
+    code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4",
+                       "--format", "json")
+    obj = json.loads(out)
+    assert code == 0
+    assert len(obj["pairs"]) == 6
+    assert obj["skipped"] == [[2, 3], [3, 2], [3, 3]]
+    assert obj["total_mismatches"] == 0
+
+    code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4",
+                       "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0
+    assert len(rows) == 10
+    assert [r for r in rows if r[2] == ""] == [["2", "3", "", ""], ["3", "2", "", ""],
+                                               ["3", "3", "", ""]]
+
+
+def test_verify_range_without_skips_has_no_skip_fields(capsys):
+    code, out, _ = run(capsys, "verify", "--range", "2", "2", "--format", "json")
+    assert code == 0
+    assert "skipped" not in json.loads(out)
+
+
+def test_verify_rejects_bound_below_one(capsys):
+    for bound in ("0", "-5"):
+        code, _, err = run(capsys, "verify", "--range", "3", "3", "--bound", bound)
+        assert code == 2
+        assert "--bound" in err

@@ -1,6 +1,8 @@
 """Tests for tuple enumeration, materialization, and classification."""
 
 import math
+import random
+import time
 
 import pytest
 
@@ -190,6 +192,56 @@ def test_find_tuple_rejects_non_subgroup():
     s = ElementSet.from_iterable(4, 4, [(0, 0), (1, 1), (2, 3)])
     with pytest.raises(NotASubgroupError):
         find_tuple(4, 4, s)
+
+
+def is_closed(pts, m, n):
+    return all(((x1 + x2) % m, (y1 + y2) % n) in pts for x1, y1 in pts for x2, y2 in pts)
+
+
+def assert_find_tuple_decides(m, n, pts):
+    """find_tuple names the subgroup pts is, or refuses a non-subgroup."""
+    s = ElementSet.from_iterable(m, n, pts)
+    if pts and is_closed(pts, m, n):
+        assert materialize(m, n, find_tuple(m, n, s)) == s
+    else:
+        with pytest.raises(NotASubgroupError):
+            find_tuple(m, n, s)
+
+
+def test_find_tuple_random_subsets():
+    rng = random.Random(20130)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            group = [(x, y) for x in range(m) for y in range(n)]
+            for _ in range(40):
+                pts = {p for p in group if rng.random() < rng.random()}
+                assert_find_tuple_decides(m, n, pts - {(0, 0)})
+                assert_find_tuple_decides(m, n, pts | {(0, 0)})
+
+
+def test_find_tuple_subgroups_with_one_point_changed():
+    for m, n in [(4, 4), (6, 4), (8, 12), (12, 18)]:
+        group = [(x, y) for x in range(m) for y in range(n)]
+        for t in enumerate_tuples(m, n):
+            members = set(materialize(m, n, t).elements)
+            for p in group:
+                assert_find_tuple_decides(m, n, members ^ {p})
+
+
+def test_find_tuple_rejects_a_set_of_another_ambient():
+    full_4_4 = ElementSet.from_iterable(4, 4, [(x, y) for x in range(4) for y in range(4)])
+    with pytest.raises(NotASubgroupError):
+        find_tuple(2, 2, full_4_4)
+    with pytest.raises(NotASubgroupError):
+        find_tuple(4, 4, materialize(2, 2, GoursatTuple(2, 2, 2, 2, 1)))
+
+
+def test_find_tuple_large_full_groups_are_fast():
+    for m, n in [(64, 64), (48, 96)]:
+        s = ElementSet.from_iterable(m, n, [(x, y) for x in range(m) for y in range(n)])
+        start = time.perf_counter()
+        assert find_tuple(m, n, s) == GoursatTuple(m, m, n, n, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 # --- whole-module properties --------------------------------------------------
