@@ -1,10 +1,13 @@
 """Tests for the integer arithmetic kernel.
 
 Expected values are frozen from independent oracles defined here (full-range
-scans and direct counts), never from the functions under test.
+scans and direct counts), never from the functions under test.  On 64-bit
+inputs, too large for a scan, the kernel is compared with sympy (test-only).
 """
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -158,6 +161,84 @@ def test_is_prime_large():
     assert not arith.is_prime(2**32 + 1)  # 641 * 6700417
     with pytest.raises(ValueError):
         arith.is_prime(0)
+
+
+# --- differential checks against sympy on 64-bit inputs -------------------------
+
+LARGEST_64_BIT_PRIME = 18446744073709551557
+
+# Strong pseudoprimes with no factor below the trial-division bound, so only
+# Miller-Rabin can reject them: the least ones to the first 3, 5, 6, 7 prime
+# bases, and 3825123056546413051, which passes every prime base up to 31.
+# 3215031751 passes the bases 2 to 7; 561, 41041 and 825265 are Carmichael.
+PSEUDOPRIMES = (25326001, 2152302898747, 3474749660383, 341550071728321,
+                3825123056546413051, 3215031751, 561, 41041, 825265)
+
+
+def _random_64_bit(sympy):
+    rng = random.Random(64)
+    return [rng.randrange(1, 2**64) for _ in range(300)]
+
+
+def _smooth_13(sympy):
+    rng = random.Random(13)
+    values = []
+    for _ in range(100):
+        n = 1
+        for _ in range(rng.randrange(1, 60)):
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            if n * p > arith.U64_MAX:
+                break
+            n *= p
+        values.append(n)
+    return values
+
+
+def _semiprimes(sympy):
+    # primes on both sides of 2^20 and 2^31, and below 2^32: a product of
+    # two primes above 2^32 would pass 64 bits
+    near = [[sympy.prevprime(2**bits - k) for k in (0, 2**(bits - 8))]
+            + [sympy.nextprime(2**bits + k) for k in (0, 2**(bits - 8))]
+            for bits in (20, 31)]
+    near.append([sympy.prevprime(2**32 - k) for k in (0, 20, 2**24)])
+    values = [p * q for primes in near for p, q in combinations(primes, 2)]
+    # balanced, but not close enough for a difference-of-squares split
+    values.append(sympy.prevprime(3 * 2**30) * sympy.prevprime(2**32))
+    return values
+
+
+def _prime_powers(sympy):
+    squares = [sympy.nextprime(10**6), sympy.nextprime(10**8), sympy.prevprime(2**32)]
+    cubes = [sympy.nextprime(10**6), sympy.prevprime(int(arith.U64_MAX ** (1 / 3)))]
+    return [p**2 for p in squares] + [p**3 for p in cubes]
+
+
+def _edges(sympy):
+    return [arith.U64_MAX, LARGEST_64_BIT_PRIME, *PSEUDOPRIMES]
+
+
+@pytest.mark.parametrize("make_inputs", [
+    _random_64_bit, _smooth_13, _semiprimes, _prime_powers, _edges,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_kernel_matches_sympy(make_inputs):
+    sympy = pytest.importorskip("sympy")
+    for n in make_inputs(sympy):
+        assert n <= arith.U64_MAX
+        assert arith.factorize(n) == sorted(sympy.factorint(n).items()), n
+        assert arith.euler_phi(n) == sympy.totient(n), n
+        assert arith.mobius(n) == sympy.mobius(n), n
+        assert arith.tau(n) == sympy.divisor_count(n), n
+        assert arith.is_prime(n) == sympy.isprime(n), n
+        assert arith.divisors(n) == sympy.divisors(n), n
+
+
+def test_miller_rabin_bases_are_exact_for_64_bits():
+    sympy = pytest.importorskip("sympy")
+    # the first twelve prime bases admit no strong pseudoprime below 3.3e24
+    assert arith._MR_BASES == tuple(sympy.primerange(38))
+    assert arith.is_prime(LARGEST_64_BIT_PRIME)
+    for n in PSEUDOPRIMES:
+        assert not arith.is_prime(n), n
 
 
 # --- overflow guards ------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ranktwo import arith
 from ranktwo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,6 +247,52 @@ def test_enumerate_refuses_before_writing(capsys):
         assert code == 2
         assert out == ""
         assert "exceeds 64-bit range" in err
+
+
+# --- reach: 64-bit primes and semiprimes ------------------------------------------
+
+LARGEST_64_BIT_PRIME = 18446744073709551557
+
+
+def run_cold_within_a_second(capsys, *argv):
+    arith._factorize.cache_clear()
+    arith._divisors.cache_clear()
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+@pytest.mark.parametrize("m, expected", [(999999937 * 1000000007, 4),
+                                         (LARGEST_64_BIT_PRIME, 2)])
+def test_count_64_bit_cyclic_group_is_fast(capsys, m, expected):
+    # Z_m x Z_1 is cyclic of order m: one subgroup per divisor of m
+    code, out, _ = run_cold_within_a_second(capsys, "count", str(m), "1")
+    assert code == 0
+    assert out == f"{expected}\n"
+
+
+def test_table_of_two_32_bit_primes_is_fast(capsys):
+    p, q = 4294967291, 4294967279
+    code, out, _ = run_cold_within_a_second(capsys, "table", str(p), str(q),
+                                            "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    # Z_p x Z_q is cyclic of order pq: subgroups of order 1, q, p, pq
+    assert obj["total"] == 4
+    assert obj["cyclic"] == 4
+    assert obj["by_order"] == [{"order": o, "count": 1} for o in (1, q, p, p * q)]
+
+
+def test_enumerate_64_bit_prime_is_fast(capsys):
+    p = LARGEST_64_BIT_PRIME
+    code, out, _ = run_cold_within_a_second(capsys, "enumerate", str(p), "1",
+                                            "--limit", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("(1,1,1,1,1) order=1 ")
+    assert lines[1].startswith(f"({p},{p},1,1,1) order={p} ")
 
 
 # --- figure ----------------------------------------------------------------
