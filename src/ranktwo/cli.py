@@ -155,42 +155,38 @@ def cmd_enumerate(args) -> int:
     n = check_nat(_positive(args.n, "n"), "n")
     if args.limit is not None and not 0 <= args.limit <= sys.maxsize:
         raise CliError(f"--limit must be in 0..{sys.maxsize}, got {args.limit}")
+    # enumerate_tuples yields only valid tuples, so each record is written
+    # straight from goursat._fields, without describe's membership check
     tuples = itertools.islice(goursat.enumerate_tuples(m, n), args.limit)
-    descriptors = (goursat.describe(m, n, t) for t in tuples)
+    write = sys.stdout.write
 
     if args.format == "json":
-        sys.stdout.write(f'{{"ambient": [{m}, {n}], "subgroups": [')
+        write(f'{{"ambient": [{m}, {n}], "subgroups": [')
         sep = ""
-        for d in descriptors:
-            t = d.tuple
-            sys.stdout.write(sep + json.dumps({
-                "tuple": [t.a, t.b, t.c, t.d, t.ell],
-                "order": d.order,
-                "exponent": d.exponent,
-                "invariants": [d.invariants.u, d.invariants.v],
-                "cyclic": d.cyclic,
-                "generators": [list(g) for g in d.generators],
-            }))
+        for t in tuples:
+            order, v, u, (g1x, g1y), (g2x, g2y) = goursat._fields(m, n, t)
+            write(
+                f'{sep}{{"tuple": [{t.a}, {t.b}, {t.c}, {t.d}, {t.ell}], '
+                f'"order": {order}, "exponent": {v}, "invariants": [{u}, {v}], '
+                f'"cyclic": {"true" if u == 1 else "false"}, '
+                f'"generators": [[{g1x}, {g1y}], [{g2x}, {g2y}]]}}'
+            )
             sep = ", "
-        sys.stdout.write("]}\n")
+        write("]}\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["a", "b", "c", "d", "ell", "order", "exponent", "inv_u",
-                         "inv_v", "cyclic", "gen1_x", "gen1_y", "gen2_x", "gen2_y"])
-        for d in descriptors:
-            t = d.tuple
-            (g1x, g1y), (g2x, g2y) = d.generators
-            writer.writerow([t.a, t.b, t.c, t.d, t.ell, d.order, d.exponent,
-                             d.invariants.u, d.invariants.v, int(d.cyclic),
-                             g1x, g1y, g2x, g2y])
+        write("a,b,c,d,ell,order,exponent,inv_u,inv_v,cyclic,"
+              "gen1_x,gen1_y,gen2_x,gen2_y\n")
+        for t in tuples:
+            order, v, u, (g1x, g1y), (g2x, g2y) = goursat._fields(m, n, t)
+            write(f"{t.a},{t.b},{t.c},{t.d},{t.ell},{order},{v},{u},{v},"
+                  f"{int(u == 1)},{g1x},{g1y},{g2x},{g2y}\n")
     else:
-        for d in descriptors:
-            (g1x, g1y), (g2x, g2y) = d.generators
-            print(
-                f"{d.tuple} order={d.order} exponent={d.exponent} "
-                f"invariants=({d.invariants.u},{d.invariants.v}) "
-                f"cyclic={'yes' if d.cyclic else 'no'} "
-                f"generators=({g1x},{g1y}),({g2x},{g2y})"
+        for t in tuples:
+            order, v, u, (g1x, g1y), (g2x, g2y) = goursat._fields(m, n, t)
+            write(
+                f"{t} order={order} exponent={v} invariants=({u},{v}) "
+                f"cyclic={'yes' if u == 1 else 'no'} "
+                f"generators=({g1x},{g1y}),({g2x},{g2y})\n"
             )
     return EXIT_OK
 
@@ -262,8 +258,8 @@ def _report_obj(report: oracle.OracleReport) -> dict:
 
 def cmd_verify(args) -> int:
     bound = args.bound
-    if bound < 1:
-        raise CliError(f"--bound must be >= 1, got {bound}")
+    if not 1 <= bound <= oracle.MAX_BOUND:
+        raise CliError(f"--bound must be in 1..{oracle.MAX_BOUND}, got {bound}")
     if args.range is not None:
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
@@ -368,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", nargs=2, metavar=("M_MAX", "N_MAX"),
                    help="check every pair 1..M_MAX x 1..N_MAX")
     p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND,
-                   help="max m*n for brute force (default %(default)s)")
+                   help=f"max m*n for brute force, at most {oracle.MAX_BOUND} "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -125,23 +125,30 @@ def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:
                         yield GoursatTuple(a, b, c, d, ell)
 
 
-def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
-    """Classify the subgroup named by t: order, exponent, type, generators."""
-    check_membership(m, n, t)
-    u = gcd(t.b, t.d)
-    v = lcm(t.a, t.c)
-    gens = (
+def _fields(m: int, n: int, t: GoursatTuple):
+    """Order a*d, exponent lcm(a, c), u = gcd(b, d) and the two generators of
+    the subgroup named by t, for a tuple already known to be valid."""
+    return (
+        t.a * t.d,
+        lcm(t.a, t.c),
+        gcd(t.b, t.d),
         ((m // t.a) % m, (t.ell * (n // t.c)) % n),
         (0, (n // t.d) % n),
     )
+
+
+def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
+    """Classify the subgroup named by t: order, exponent, type, generators."""
+    check_membership(m, n, t)
+    order, v, u, gen1, gen2 = _fields(m, n, t)
     return SubgroupDescriptor(
         ambient=(m, n),
         tuple=t,
-        order=t.a * t.d,
+        order=order,
         exponent=v,
         invariants=InvariantPair(u, v),
         cyclic=u == 1,
-        generators=gens,
+        generators=(gen1, gen2),
     )
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import time
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ranktwo import arith
+from ranktwo import arith, describe, enumerate_tuples
 from ranktwo.cli import main
+from ranktwo.oracle import MAX_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
@@ -249,6 +251,63 @@ def test_enumerate_refuses_before_writing(capsys):
         assert "exceeds 64-bit range" in err
 
 
+@pytest.mark.parametrize("fmt, ext", [("plain", "txt"), ("json", "json"), ("csv", "csv")])
+def test_enumerate_golden(capsys, fmt, ext):
+    code, out, _ = run(capsys, "enumerate", "12", "18", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"enumerate_12_18.{ext}").read_text()
+
+
+def reference_enumerate(m, n, fmt, limit=None):
+    """The enumerate output as the validating path writes it: the public
+    describe per tuple, then json.dumps or csv.writer per record."""
+    buf = io.StringIO()
+    descriptors = [describe(m, n, t) for t in itertools.islice(enumerate_tuples(m, n), limit)]
+    if fmt == "json":
+        records = [json.dumps({
+            "tuple": [d.tuple.a, d.tuple.b, d.tuple.c, d.tuple.d, d.tuple.ell],
+            "order": d.order,
+            "exponent": d.exponent,
+            "invariants": [d.invariants.u, d.invariants.v],
+            "cyclic": d.cyclic,
+            "generators": [list(g) for g in d.generators],
+        }) for d in descriptors]
+        buf.write(f'{{"ambient": [{m}, {n}], "subgroups": [' + ", ".join(records) + "]}\n")
+    elif fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["a", "b", "c", "d", "ell", "order", "exponent", "inv_u",
+                         "inv_v", "cyclic", "gen1_x", "gen1_y", "gen2_x", "gen2_y"])
+        for d in descriptors:
+            t = d.tuple
+            (g1x, g1y), (g2x, g2y) = d.generators
+            writer.writerow([t.a, t.b, t.c, t.d, t.ell, d.order, d.exponent,
+                             d.invariants.u, d.invariants.v, int(d.cyclic),
+                             g1x, g1y, g2x, g2y])
+    else:
+        for d in descriptors:
+            (g1x, g1y), (g2x, g2y) = d.generators
+            buf.write(
+                f"{d.tuple} order={d.order} exponent={d.exponent} "
+                f"invariants=({d.invariants.u},{d.invariants.v}) "
+                f"cyclic={'yes' if d.cyclic else 'no'} "
+                f"generators=({g1x},{g1y}),({g2x},{g2y})\n"
+            )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("m, n, limit", [(1, 1, None), (2, 2, None), (12, 18, None),
+                                         (36, 48, None), (1, 1, 0), (2, 2, 3),
+                                         (12, 18, 17), (36, 48, 100000), (720, 720, 500)])
+def test_enumerate_matches_the_validating_renderer(capsys, fmt, m, n, limit):
+    argv = ["enumerate", str(m), str(n), "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == reference_enumerate(m, n, fmt, limit)
+
+
 # --- reach: 64-bit primes and semiprimes ------------------------------------------
 
 LARGEST_64_BIT_PRIME = 18446744073709551557
@@ -420,3 +479,18 @@ def test_verify_rejects_bound_below_one(capsys):
         code, _, err = run(capsys, "verify", "--range", "3", "3", "--bound", bound)
         assert code == 2
         assert "--bound" in err
+
+
+def test_verify_refuses_a_bound_past_the_limit(capsys):
+    for fmt in ("plain", "json", "csv"):
+        code, out, err = run(capsys, "verify", "2", "2", "--bound", str(MAX_BOUND + 1),
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert f"--bound must be in 1..{MAX_BOUND}" in err
+
+
+def test_verify_accepts_the_bound_limit(capsys):
+    code, out, _ = run(capsys, "verify", "2", "2", "--bound", str(MAX_BOUND))
+    assert code == 0
+    assert out == "OK, 5 subgroups, 0 mismatches\n"

@@ -107,6 +107,16 @@ def test_describe_membership_errors_are_distinct():
         describe(8, 8, GoursatTuple(8, 2, 8, 2, 2))
 
 
+def test_public_describe_and_materialize_still_check_the_tuple():
+    for m, n, t in [(12, 18, GoursatTuple(5, 1, 1, 1, 1)),
+                    (12, 18, GoursatTuple(4, 2, 18, 9, 3)),
+                    (8, 8, GoursatTuple(8, 2, 8, 2, 2))]:
+        with pytest.raises(TupleMembershipError):
+            describe(m, n, t)
+        with pytest.raises(TupleMembershipError):
+            materialize(m, n, t)
+
+
 # --- materialize ------------------------------------------------------------
 
 def test_materialize_figure_subgroup():

@@ -1,11 +1,15 @@
 """Tests for the brute-force oracle and the cross-check machinery."""
 
 import dataclasses
+import math
+import random
+
 import pytest
 
 from ranktwo import (
     ElementSet,
     GoursatTuple,
+    InvariantPair,
     brute_subgroups,
     classify,
     count_total,
@@ -62,6 +66,48 @@ def test_classify_rejects_non_closed():
     s = ElementSet.from_iterable(4, 4, [(0, 0), (1, 0)])
     with pytest.raises(ValueError):
         classify(s)
+
+
+def pairwise_classification(pts, m, n):
+    """Order, exponent and type of pts by the pairwise closure check, or None."""
+    if (0, 0) not in pts or not all(((x1 + x2) % m, (y1 + y2) % n) in pts
+                                    for x1, y1 in pts for x2, y2 in pts):
+        return None
+    exponent = math.lcm(*(math.lcm(m // math.gcd(x, m), n // math.gcd(y, n))
+                          for x, y in pts))
+    return len(pts), exponent, InvariantPair(len(pts) // exponent, exponent)
+
+
+def assert_classify_decides(m, n, pts):
+    """classify accepts exactly the closed sets, classifying them as the pairwise check does."""
+    expected = pairwise_classification(pts, m, n)
+    s = ElementSet.from_iterable(m, n, pts)
+    if expected is None:
+        with pytest.raises(ValueError):
+            classify(s)
+    else:
+        assert classify(s) == expected
+
+
+def test_classify_subgroups_with_one_point_changed():
+    for m, n in [(4, 4), (6, 4), (8, 12), (12, 18)]:
+        group = [(x, y) for x in range(m) for y in range(n)]
+        for t in enumerate_tuples(m, n):
+            members = set(materialize(m, n, t).elements)
+            assert_classify_decides(m, n, members)
+            for p in group:
+                assert_classify_decides(m, n, members ^ {p})
+
+
+def test_classify_random_subsets_with_zero():
+    rng = random.Random(20131)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            group = [(x, y) for x in range(m) for y in range(n)]
+            for _ in range(40):
+                density = rng.random()
+                assert_classify_decides(m, n, {p for p in group if rng.random() < density}
+                                        | {(0, 0)})
 
 
 def test_classify_cyclic_iff_single_generator():
