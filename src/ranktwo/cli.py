@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -99,10 +100,10 @@ def table_json_obj(table: counting.SubgroupTable) -> dict:
         "ambient": list(table.ambient),
         "total": table.total,
         "by_order": [
-            {"order": o, "count": c} for o, c in sorted(table.by_order.items())
+            {"order": o, "count": c} for o, c in table.by_order.items()
         ],
         "by_type": [
-            {"a": k.A, "b": k.B, "count": c} for k, c in sorted(table.by_type.items())
+            {"a": k.A, "b": k.B, "count": c} for k, c in table.by_type.items()
         ],
         "cyclic": table.cyclic_total,
         "noncyclic": table.noncyclic_total,
@@ -116,10 +117,10 @@ def render_table_plain(table: counting.SubgroupTable) -> str:
     lines.append(f"cyclic: {table.cyclic_total}")
     lines.append(f"noncyclic: {table.noncyclic_total}")
     lines.append("by order:")
-    for order, cnt in sorted(table.by_order.items()):
+    for order, cnt in table.by_order.items():
         lines.append(f"  {order}: {cnt}")
     lines.append("by type:")
-    for key, cnt in sorted(table.by_type.items()):
+    for key, cnt in table.by_type.items():
         lines.append(f"  {_type_name(key)}: {cnt}")
     return "\n".join(lines)
 
@@ -128,9 +129,9 @@ def render_table_csv(table: counting.SubgroupTable) -> str:
     rows = [["total", "", table.total],
             ["cyclic", "", table.cyclic_total],
             ["noncyclic", "", table.noncyclic_total]]
-    for order, cnt in sorted(table.by_order.items()):
+    for order, cnt in table.by_order.items():
         rows.append(["order", str(order), cnt])
-    for key, cnt in sorted(table.by_type.items()):
+    for key, cnt in table.by_type.items():
         rows.append(["type", f"{key.A}x{key.B}", cnt])
     return _csv_dump(["row", "key", "count"], rows)
 
@@ -256,6 +257,18 @@ def _report_obj(report: oracle.OracleReport) -> dict:
     }
 
 
+def _check_or_skip(m: int, n: int, bound: int) -> oracle.OracleReport | None:
+    try:
+        return oracle.cross_check(m, n, bound)
+    except oracle.BoundExceededError:
+        return None
+
+
+def _print_mismatches(report: oracle.OracleReport) -> None:
+    for side, key, exp, act in report.mismatches:
+        print(f"  mismatch {side} key={key}: oracle={exp} formula={act}")
+
+
 def cmd_verify(args) -> int:
     bound = args.bound
     if not 1 <= bound <= oracle.MAX_BOUND:
@@ -263,63 +276,71 @@ def cmd_verify(args) -> int:
     if args.range is not None:
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
-        pairs = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+        single = m_max * n_max == 1
+        # (m, n, report), with report None for a pair over the bound; the
+        # sweep is checked and written one pair at a time
+        checked = ((m, n, _check_or_skip(m, n, bound))
+                   for m in range(1, m_max + 1) for n in range(1, n_max + 1))
     else:
         if args.m is None or args.n is None:
             raise CliError("verify needs either m n or --range M N")
-        pairs = [(_positive(args.m, "m"), _positive(args.n, "n"))]
-
-    # (m, n, report), with report None for a sweep pair over the bound
-    checked = []
-    for m, n in pairs:
+        m, n = _positive(args.m, "m"), _positive(args.n, "n")
         try:
-            checked.append((m, n, oracle.cross_check(m, n, bound)))
+            checked = [(m, n, oracle.cross_check(m, n, bound))]
         except oracle.BoundExceededError as exc:
-            if args.range is None:
-                raise CliError(str(exc))
-            checked.append((m, n, None))
-    reports = [r for _, _, r in checked if r is not None]
-    skipped = [[m, n] for m, n, r in checked if r is None]
+            raise CliError(str(exc))
+        single = True
 
-    total_mismatches = sum(len(r.mismatches) for r in reports)
-
+    total_mismatches = 0
     if args.format == "json":
-        obj = {
-            "pairs": [_report_obj(r) for r in reports],
-            "total_mismatches": total_mismatches,
-        }
-        if skipped:
-            obj["skipped"] = skipped
-        print(json.dumps(obj))
+        skipped = []
+        sep = ""
+        sys.stdout.write('{"pairs": [')
+        for m, n, r in checked:
+            if r is None:
+                skipped.append([m, n])
+                continue
+            total_mismatches += len(r.mismatches)
+            sys.stdout.write(sep + json.dumps(_report_obj(r)))
+            sep = ", "
+        tail = f', "skipped": {json.dumps(skipped)}' if skipped else ""
+        print(f'], "total_mismatches": {total_mismatches}{tail}}}')
     elif args.format == "csv":
-        rows = [[m, n, r.subgroup_count, len(r.mismatches)] if r else [m, n, "", ""]
-                for m, n, r in checked]
-        print(_csv_dump(["m", "n", "subgroups", "mismatches"], rows), end="")
+        print("m,n,subgroups,mismatches")
+        for m, n, r in checked:
+            if r is None:
+                print(f"{m},{n},,")
+                continue
+            total_mismatches += len(r.mismatches)
+            print(f"{m},{n},{r.subgroup_count},{len(r.mismatches)}")
+    elif single:
+        [(_, _, r)] = checked
+        total_mismatches = len(r.mismatches)
+        print(f"{'OK' if r.ok else 'FAIL'}, {r.subgroup_count} subgroups, "
+              f"{total_mismatches} mismatches")
+        _print_mismatches(r)
     else:
-        if len(checked) == 1:
-            r = reports[0]
-            status = "OK" if r.ok else "FAIL"
-            print(f"{status}, {r.subgroup_count} subgroups, {len(r.mismatches)} mismatches")
-            for side, key, exp, act in r.mismatches:
-                print(f"  mismatch {side} key={key}: oracle={exp} formula={act}")
-        else:
-            for m, n, r in checked:
-                if r is None:
-                    print(f"{m} {n}: SKIP (m*n = {m * n} exceeds bound {bound})")
-                    continue
-                status = "OK" if r.ok else "FAIL"
-                print(f"{m} {n}: {status} ({r.subgroup_count} subgroups)")
-                for side, key, exp, act in r.mismatches:
-                    print(f"  mismatch {side} key={key}: oracle={exp} formula={act}")
-            skip_note = f"{len(skipped)} skipped, " if skipped else ""
-            print(f"{len(reports)} pairs checked, {skip_note}{total_mismatches} mismatches")
+        pairs_checked = pairs_skipped = 0
+        for m, n, r in checked:
+            if r is None:
+                pairs_skipped += 1
+                print(f"{m} {n}: SKIP (m*n = {m * n} exceeds bound {bound})")
+                continue
+            pairs_checked += 1
+            total_mismatches += len(r.mismatches)
+            print(f"{m} {n}: {'OK' if r.ok else 'FAIL'} ({r.subgroup_count} subgroups)")
+            _print_mismatches(r)
+        skip_note = f"{pairs_skipped} skipped, " if pairs_skipped else ""
+        print(f"{pairs_checked} pairs checked, {skip_note}{total_mismatches} mismatches")
 
     return EXIT_OK if total_mismatches == 0 else EXIT_MISMATCH
 
 
 # --- entry point ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ranktwo",
         description="Enumerate, classify, and count the subgroups of Z_m x Z_n.",

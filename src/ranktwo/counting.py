@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import (
     check_nat,
@@ -28,18 +29,28 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class TypeKey:
-    """Isomorphism type Z_A x Z_B with A | B."""
-
+class _TypeKeyFields(NamedTuple):
     A: int
     B: int
 
-    def __post_init__(self):
-        check_nat(self.A, "A")
-        check_nat(self.B, "B")
-        if self.B % self.A != 0:
-            raise ValueError(f"A = {self.A} does not divide B = {self.B}")
+
+class TypeKey(_TypeKeyFields):
+    """Isomorphism type Z_A x Z_B with A | B.
+
+    `TypeKey(A, B)` checks its values.  `TypeKey._make((A, B))` (and
+    `_replace`) do not: they are for keys already known to be valid, such as
+    the products of local types that `build_table` forms.  Equality, order
+    and hash are those of the tuple (A, B).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, A: int, B: int) -> "TypeKey":
+        check_nat(A, "A")
+        check_nat(B, "B")
+        if B % A != 0:
+            raise ValueError(f"A = {A} does not divide B = {B}")
+        return super().__new__(cls, A, B)
 
 
 @dataclass(frozen=True)
@@ -260,36 +271,42 @@ def build_table(m: int, n: int) -> SubgroupTable:
     """Aggregate report as the product of the local tables at each prime of m*n.
 
     Orders and (u, v) multiply prime by prime, so no key is reached twice;
-    zero-count rows never arise.  Refuses m*n past 64 bits.
+    zero-count rows never arise.  Refuses m*n past 64 bits.  The total is
+    formed and checked for overflow first; no count by order or by type
+    exceeds it, so their products need no check of their own.
     """
     check_nat(m, "m")
     check_nat(n, "n")
     check_nat(m * n, "m*n")
+    local_tables = [
+        (p, local_table(p, alpha, beta)) for p, (alpha, beta) in _exponents(m, n).items()
+    ]
     total = cyclic = 1
+    for _, local in local_tables:
+        total = checked_mul(total, sum(local.values()))
+        cyclic *= sum(cnt for (_, i, _), cnt in local.items() if i == 0)
     by_order = {1: 1}
     by_type = {(1, 1): 1}
-    for p, (alpha, beta) in _exponents(m, n).items():
-        local = local_table(p, alpha, beta)
+    for p, local in local_tables:
         local_order: dict[int, int] = {}
         for (c, _, _), cnt in local.items():
             local_order[c] = local_order.get(c, 0) + cnt
         by_order = {
-            o * p**c: checked_mul(cnt, lc)
+            o * p**c: cnt * lc
             for o, cnt in by_order.items()
             for c, lc in local_order.items()
         }
         by_type = {
-            (u * p**i, v * p**j): checked_mul(cnt, lc)
+            (u * p**i, v * p**j): cnt * lc
             for (u, v), cnt in by_type.items()
             for (_, i, j), lc in local.items()
         }
-        total = checked_mul(total, sum(local.values()))
-        cyclic = checked_mul(cyclic, sum(cnt for (_, i, _), cnt in local.items() if i == 0))
+    key = TypeKey._make  # u | v holds prime by prime
     return SubgroupTable(
         ambient=(m, n),
         total=total,
         by_order=dict(sorted(by_order.items())),
-        by_type={TypeKey(u, v): cnt for (u, v), cnt in sorted(by_type.items())},
+        by_type={key(uv): cnt for uv, cnt in sorted(by_type.items())},
         cyclic_total=cyclic,
         noncyclic_total=total - cyclic,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import check_nat, divisors
 
@@ -24,8 +24,9 @@ class NotASubgroupError(ValueError):
     """An element set is not closed under the group operation."""
 
 
-@dataclass(frozen=True, order=True)
-class GoursatTuple:
+class GoursatTuple(NamedTuple):
+    """The tuple (a, b, c, d, l), compared and hashed as a plain tuple."""
+
     a: int
     b: int
     c: int

@@ -1,10 +1,13 @@
 """CLI tests: golden outputs, exit codes, and format consistency."""
 
+import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -435,9 +438,11 @@ def test_verify_json(capsys):
 
 
 def test_verify_bound_exceeded(capsys):
-    code, _, err = run(capsys, "verify", "30", "30")
-    assert code == 2
-    assert "exceeds bound" in err
+    for fmt in ("plain", "json", "csv"):
+        code, out, err = run(capsys, "verify", "30", "30", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "exceeds bound" in err
 
 
 def test_verify_missing_args(capsys):
@@ -494,3 +499,84 @@ def test_verify_accepts_the_bound_limit(capsys):
     code, out, _ = run(capsys, "verify", "2", "2", "--bound", str(MAX_BOUND))
     assert code == 0
     assert out == "OK, 5 subgroups, 0 mismatches\n"
+
+
+@pytest.mark.parametrize("fmt, ext", [("plain", "txt"), ("json", "json"), ("csv", "csv")])
+def test_verify_range_golden(capsys, fmt, ext):
+    code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"verify_range_3_3_bound_4.{ext}").read_text()
+
+
+class _Tail:
+    """A stdout that keeps only the count and the last characters written."""
+
+    def __init__(self):
+        self.chars = 0
+        self.tail = ""
+
+    def write(self, s):
+        self.chars += len(s)
+        self.tail = (self.tail + s)[-100:]
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt, last_line", [
+    ("plain", "1 pairs checked, 9999 skipped, 0 mismatches"),
+    ("csv", "100,100,,"),
+], ids=["plain", "csv"])
+def test_verify_range_streams_its_output(fmt, last_line):
+    # a sweep holding its pairs as lists peaks at 2-4 MB here, and grows with M*N
+    sink = _Tail()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["verify", "--range", "100", "100", "--bound", "1", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.tail.endswith(f"\n{last_line}\n")
+    assert peak < 2**20
+
+
+# --- one parser per process ------------------------------------------------
+
+def test_shared_parser_leaks_nothing_between_calls(capsys):
+    golden_enum = (GOLDEN / "enumerate_12_18.txt").read_text()
+    steps = [
+        (["count", "12", "18", "--cyclic"], "48\n"),
+        (["count", "12", "18"], "80\n"),
+        (["verify", "--range", "1", "2"],
+         "1 1: OK (1 subgroups)\n1 2: OK (2 subgroups)\n2 pairs checked, 0 mismatches\n"),
+        (["verify", "12", "18"], "OK, 80 subgroups, 0 mismatches\n"),
+        (["enumerate", "12", "18", "--limit", "1"], golden_enum.splitlines(True)[0]),
+        (["enumerate", "12", "18"], golden_enum),
+        (["count", "12", "18", "--format", "json"],
+         '{"ambient": [12, 18], "filter": null, "count": 80}\n'),
+        (["count", "12", "18"], "80\n"),
+        (["table", "12", "18", "--format", "json"], (GOLDEN / "table_12_18.json").read_text()),
+        (["table", "12", "18"], (GOLDEN / "table_12_18.txt").read_text()),
+    ]
+    for argv, expected in steps:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected), argv
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    main(["count", "1", "1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["count", "12", "18"], ["table", "12", "18"], ["verify", "2", "2"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []

@@ -129,6 +129,13 @@ def test_type_key_requires_divisibility():
         TypeKey(3, 4)
 
 
+@pytest.mark.parametrize("args, error", [((0, 1), ValueError), ((True, 2), TypeError),
+                                         ((1, 2**64), OverflowError)])
+def test_type_key_refuses_bad_values(args, error):
+    with pytest.raises(error):
+        TypeKey(*args)
+
+
 def test_count_by_type_partition():
     for m in range(1, 41):
         for n in range(1, 41):
@@ -288,3 +295,13 @@ def test_build_table_internal_invariants():
         for key in table.by_type:
             assert math.gcd(m, n) % key.A == 0
             assert (m * n) % (key.A * key.B) == 0
+
+
+def test_build_table_keys_equal_checked_keys():
+    for m, n in [(1, 1), (12, 18), (1872, 1980), (2**10, 3**5 * 7)]:
+        keys = list(build_table(m, n).by_type)
+        assert keys == sorted(keys)
+        for key in keys:
+            checked = TypeKey(key.A, key.B)
+            assert type(key) is TypeKey
+            assert key == checked and hash(key) == hash(checked)

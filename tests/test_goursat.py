@@ -55,6 +55,13 @@ def test_enumerate_is_lexicographic():
         assert len(tuples) == len(set(tuples))
 
 
+def test_goursat_tuple_prints_and_orders_as_before():
+    t = GoursatTuple(6, 2, 18, 6, 1)
+    assert str(t) == "(6,2,18,6,1)"
+    assert (t.a, t.b, t.c, t.d, t.ell) == (6, 2, 18, 6, 1)
+    assert GoursatTuple(1, 2, 3, 4, 5) < GoursatTuple(1, 2, 3, 5, 1) < GoursatTuple(2, 1, 1, 1, 1)
+
+
 def test_enumerate_rejects_zero():
     with pytest.raises(ValueError):
         next(enumerate_tuples(0, 2))
