@@ -274,6 +274,8 @@ def cmd_verify(args) -> int:
     if not 1 <= bound <= oracle.MAX_BOUND:
         raise CliError(f"--bound must be in 1..{oracle.MAX_BOUND}, got {bound}")
     if args.range is not None:
+        if args.m is not None:
+            raise CliError("verify takes either m n or --range M N, not both")
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
         single = m_max * n_max == 1

@@ -3,10 +3,12 @@
 Every count the library reports comes from one per-prime engine: the
 local table of Z_{p^alpha} x Z_{p^beta} from the (a, b, c, d, l)
 parametrization, multiplied over the primes of m*n (`local_table`,
-`count_subgroups`, `build_table`).  The paper's divisor-sum identities
-(total, by order, by type, cyclic) and prime-power closed forms stay as
-library functions, checked against the engine and the brute-force oracle.
-Everything is exact integer arithmetic.
+`count_subgroups`, `build_table`).  The paper's divisor-sum identities for
+the total, by order, by type and cyclic counts stay here as the
+independent side `verify` compares the brute-force oracle with; its other
+forms (gcd double sums, prime-power closed forms) are tested statements
+in the test suite, not library functions.  Everything is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .arith import (
     divisors,
     euler_phi,
     factorize,
-    is_prime,
     mobius,
     tau,
 )
@@ -35,12 +36,15 @@ class _TypeKeyFields(NamedTuple):
 
 
 class TypeKey(_TypeKeyFields):
-    """Isomorphism type Z_A x Z_B with A | B.
+    """Isomorphism type Z_A x Z_B with A | B, the library's one type value.
 
-    `TypeKey(A, B)` checks its values.  `TypeKey._make((A, B))` (and
-    `_replace`) do not: they are for keys already known to be valid, such as
-    the products of local types that `build_table` forms.  Equality, order
-    and hash are those of the tuple (A, B).
+    It keys `build_table`'s by-type counts, filters `count_by_type` and
+    `count_subgroups`, and is the invariant pair that `describe` and
+    `oracle.classify` return.  `TypeKey(A, B)` checks its values.
+    `TypeKey._make((A, B))` (and `_replace`) do not: they are for keys
+    already known to be valid, such as the products of local types that
+    `build_table` forms.  Equality, order and hash are those of the tuple
+    (A, B).
     """
 
     __slots__ = ()
@@ -75,36 +79,6 @@ def count_total(m: int, n: int) -> int:
     return total
 
 
-def count_total_reference(m: int, n: int) -> int:
-    """Total number of subgroups, as the gcd double sum over i | m, j | n."""
-    check_nat(m, "m")
-    check_nat(n, "n")
-    total = 0
-    for i in divisors(m):
-        for j in divisors(n):
-            total = checked_add(total, gcd(i, j))
-    return total
-
-
-def count_total_prime_power(p: int, a: int, b: int) -> int:
-    """Total subgroup count of Z_{p^a} x Z_{p^b}, 1 <= a <= b, in closed form."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    check_nat(a, "a")
-    check_nat(b, "b")
-    if a > b:
-        raise ValueError(f"exponents must be ordered: a = {a} > b = {b}")
-    num = (
-        (b - a + 1) * p ** (a + 2)
-        - (b - a - 1) * p ** (a + 1)
-        - (a + b + 3) * p
-        + (a + b + 1)
-    )
-    den = (p - 1) ** 2
-    assert num % den == 0
-    return num // den
-
-
 def count_by_order(m: int, n: int, delta: int) -> int:
     """Number of subgroups of order delta; 0 when delta does not divide m*n."""
     check_nat(m, "m")
@@ -116,25 +90,6 @@ def count_by_order(m: int, n: int, delta: int) -> int:
             if (i * j) % delta == 0:
                 total = checked_add(total, euler_phi(i * j // delta))
     return total
-
-
-def count_by_order_prime_power(p: int, a: int, b: int, c: int) -> int:
-    """Number of order-p^c subgroups of Z_{p^a} x Z_{p^b}, 1 <= a <= b, 0 <= c <= a+b."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    check_nat(a, "a")
-    check_nat(b, "b")
-    if a > b:
-        raise ValueError(f"exponents must be ordered: a = {a} > b = {b}")
-    if c < 0 or c > a + b:
-        raise ValueError(f"c = {c} outside [0, {a + b}]")
-    if c <= a:
-        k = c
-    elif c <= b:
-        k = a
-    else:
-        k = a + b - c
-    return (p ** (k + 1) - 1) // (p - 1)
 
 
 def count_by_type(m: int, n: int, key: TypeKey) -> int:
@@ -164,32 +119,6 @@ def count_cyclic(m: int, n: int) -> int:
             total, checked_mul(mu_star_phi, checked_mul(tau(m // t), tau(n // t)))
         )
     return total
-
-
-def count_cyclic_reference(m: int, n: int) -> int:
-    """Number of cyclic subgroups, as the phi(gcd(i,j)) double sum."""
-    check_nat(m, "m")
-    check_nat(n, "n")
-    total = 0
-    for i in divisors(m):
-        for j in divisors(n):
-            total = checked_add(total, euler_phi(gcd(i, j)))
-    return total
-
-
-def count_cyclic_by_order(m: int, n: int, delta: int) -> int:
-    """Number of cyclic subgroups of order delta."""
-    check_nat(m, "m")
-    check_nat(n, "n")
-    check_nat(delta, "delta")
-    total = 0
-    for i in divisors(m):
-        for j in divisors(n):
-            if lcm(i, j) == delta:
-                total = checked_add(total, euler_phi(gcd(i, j)))
-    return total
-
-
 
 
 def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int, int], int]:

@@ -14,6 +14,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import check_nat, divisors
+from .counting import TypeKey
 
 
 class TupleMembershipError(ValueError):
@@ -38,24 +39,12 @@ class GoursatTuple(NamedTuple):
 
 
 @dataclass(frozen=True)
-class InvariantPair:
-    """Canonical isomorphism type (u, v) with u | v, meaning Z_u x Z_v."""
-
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.u < 1 or self.v % self.u != 0:
-            raise ValueError(f"invalid invariant pair ({self.u}, {self.v})")
-
-
-@dataclass(frozen=True)
 class SubgroupDescriptor:
     ambient: tuple[int, int]
     tuple: GoursatTuple
     order: int
     exponent: int
-    invariants: InvariantPair
+    invariants: TypeKey
     cyclic: bool
     generators: tuple[tuple[int, int], tuple[int, int]]
 
@@ -147,7 +136,7 @@ def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
         tuple=t,
         order=order,
         exponent=v,
-        invariants=InvariantPair(u, v),
+        invariants=TypeKey(u, v),
         cyclic=u == 1,
         generators=(gen1, gen2),
     )
@@ -168,16 +157,6 @@ def materialize(m: int, n: int, t: GoursatTuple) -> ElementSet:
     es = ElementSet.from_iterable(m, n, points)
     assert len(es) == t.a * t.d
     return es
-
-
-def offset_form(m: int, n: int, t: GoursatTuple) -> list[tuple[int, int]]:
-    """Per-row offsets (i, j_i) with j_i = -floor(i*ell*d/c).
-
-    With j ranging over [j_i, j_i + d - 1] the unreduced second coordinate
-    i*ell*n/c + j*n/d stays inside [0, n - 1].
-    """
-    check_membership(m, n, t)
-    return [(i, -((i * t.ell * t.d) // t.c)) for i in range(t.a)]
 
 
 def find_tuple(m: int, n: int, s: ElementSet) -> GoursatTuple:

@@ -18,19 +18,22 @@ from ranktwo import (
     TypeKey,
     build_table,
     count_by_order,
-    count_by_order_prime_power,
     count_by_type,
     count_cyclic,
-    count_cyclic_reference,
     count_total,
-    count_total_prime_power,
-    count_total_reference,
     describe,
     divisors,
     materialize,
 )
 from ranktwo.cli import main
 from ranktwo.oracle import cross_check
+
+from paper_forms import (
+    count_by_order_prime_power,
+    count_cyclic_reference,
+    count_total_prime_power,
+    count_total_reference,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = Path(__file__).parent.parent / "docs" / "schemas" / "subgroup_table.schema.json"
@@ -85,7 +88,7 @@ def test_criterion_2_figure_reproduction():
     assert set(s.elements) == expected
     assert len(s) == 36
     assert d.order == 36
-    assert (d.invariants.u, d.invariants.v) == (2, 18)
+    assert (d.invariants.A, d.invariants.B) == (2, 18)
     assert t.elapsed < 0.1
     report(2, f"figure subgroup (6,2,18,6,1) materialized exactly in {t.elapsed:.3f}s")
 

@@ -286,7 +286,8 @@ def test_multiplicative_eval_trivial():
 
 def test_multiplicative_eval_reproduces_generic_sums():
     # local values derived from the generic double sum itself
-    from ranktwo.counting import count_subgroups, count_total_reference
+    from paper_forms import count_total_reference
+    from ranktwo.counting import count_subgroups
 
     for m in range(1, 61):
         for n in range(1, 61):

@@ -271,7 +271,7 @@ def reference_enumerate(m, n, fmt, limit=None):
             "tuple": [d.tuple.a, d.tuple.b, d.tuple.c, d.tuple.d, d.tuple.ell],
             "order": d.order,
             "exponent": d.exponent,
-            "invariants": [d.invariants.u, d.invariants.v],
+            "invariants": [d.invariants.A, d.invariants.B],
             "cyclic": d.cyclic,
             "generators": [list(g) for g in d.generators],
         }) for d in descriptors]
@@ -284,14 +284,14 @@ def reference_enumerate(m, n, fmt, limit=None):
             t = d.tuple
             (g1x, g1y), (g2x, g2y) = d.generators
             writer.writerow([t.a, t.b, t.c, t.d, t.ell, d.order, d.exponent,
-                             d.invariants.u, d.invariants.v, int(d.cyclic),
+                             d.invariants.A, d.invariants.B, int(d.cyclic),
                              g1x, g1y, g2x, g2y])
     else:
         for d in descriptors:
             (g1x, g1y), (g2x, g2y) = d.generators
             buf.write(
                 f"{d.tuple} order={d.order} exponent={d.exponent} "
-                f"invariants=({d.invariants.u},{d.invariants.v}) "
+                f"invariants=({d.invariants.A},{d.invariants.B}) "
                 f"cyclic={'yes' if d.cyclic else 'no'} "
                 f"generators=({g1x},{g1y}),({g2x},{g2y})\n"
             )
@@ -363,6 +363,20 @@ def test_figure_golden(capsys):
     code, out, _ = run(capsys, "figure", "12", "18", "6", "2", "18", "6", "1")
     assert code == 0
     assert out == (GOLDEN / "figure_12_18_6_2_18_6_1.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["figure", "12", "18", "6", "2", "18", "6", "1", "--format", "json"],
+     "figure_12_18_6_2_18_6_1.json"),
+    (["figure", "12", "18", "6", "2", "18", "6", "1", "--format", "csv"],
+     "figure_12_18_6_2_18_6_1.csv"),
+    (["count", "12", "18", "--format", "json"], "count_12_18.json"),
+    (["count", "12", "18", "--format", "csv"], "count_12_18.csv"),
+])
+def test_format_golden(capsys, argv, name):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_figure_bullet_positions_match_materialization(capsys):
@@ -506,6 +520,65 @@ def test_verify_range_golden(capsys, fmt, ext):
     code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4", "--format", fmt)
     assert code == 0
     assert out == (GOLDEN / f"verify_range_3_3_bound_4.{ext}").read_text()
+
+
+def test_verify_refuses_a_pair_together_with_range(capsys, monkeypatch):
+    from ranktwo import oracle
+
+    checked = []
+    monkeypatch.setattr(oracle, "cross_check", lambda *args: checked.append(args))
+    for pair in (["3", "4"], ["3"]):
+        for fmt in ("plain", "json", "csv"):
+            code, out, err = run(capsys, "verify", *pair, "--range", "2", "2",
+                                 "--format", fmt)
+            assert (code, out) == (2, ""), (pair, fmt)
+            assert "either m n or --range M N, not both" in err
+    assert checked == []
+
+
+# A TypeKey equals the plain tuple (2, 18) but prints as TypeKey(A=2, B=18);
+# verify reports type keys as plain pairs, byte for byte as before.
+SKEWED_TYPE_OUTPUT = {
+    "plain": "FAIL, 80 subgroups, 1 mismatches\n"
+             "  mismatch {side} key=(2, 18): oracle=3 formula=4\n",
+    "json": '{{"pairs": [{{"ambient": [12, 18], "subgroups": 80, "mismatches": '
+            '[{{"side": "{side}", "key": [2, 18], "expected": 3, "actual": 4}}]}}], '
+            '"total_mismatches": 1}}\n',
+    "csv": "m,n,subgroups,mismatches\n12,18,80,1\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_prints_a_by_type_mismatch_as_a_plain_pair(capsys, monkeypatch, fmt):
+    from ranktwo import oracle
+
+    count_by_type = oracle.count_by_type
+
+    def skewed(m, n, key):
+        return count_by_type(m, n, key) + (key == (2, 18))
+
+    monkeypatch.setattr(oracle, "count_by_type", skewed)
+    code, out, _ = run(capsys, "verify", "12", "18", "--format", fmt)
+    assert code == 3
+    assert out == SKEWED_TYPE_OUTPUT[fmt].format(side="by_type")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_prints_a_table_by_type_mismatch_as_a_plain_pair(capsys, monkeypatch, fmt):
+    import dataclasses
+
+    from ranktwo import TypeKey, build_table, oracle
+
+    def skewed(m, n):
+        table = build_table(m, n)
+        by_type = dict(table.by_type)
+        by_type[TypeKey(2, 18)] += 1
+        return dataclasses.replace(table, by_type=by_type)
+
+    monkeypatch.setattr(oracle, "build_table", skewed)
+    code, out, _ = run(capsys, "verify", "12", "18", "--format", fmt)
+    assert code == 3
+    assert out == SKEWED_TYPE_OUTPUT[fmt].format(side="table_by_type")
 
 
 class _Tail:

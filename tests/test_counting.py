@@ -12,19 +12,22 @@ from ranktwo import (
     TypeKey,
     build_table,
     count_by_order,
-    count_by_order_prime_power,
     count_by_type,
     count_cyclic,
-    count_cyclic_by_order,
-    count_cyclic_reference,
     count_subgroups,
     count_total,
-    count_total_prime_power,
-    count_total_reference,
     describe,
     divisors,
     enumerate_tuples,
     tau,
+)
+
+from paper_forms import (
+    count_by_order_prime_power,
+    count_cyclic_by_order,
+    count_cyclic_reference,
+    count_total_prime_power,
+    count_total_reference,
 )
 
 
@@ -273,7 +276,7 @@ def test_build_table_matches_enumeration():
     for t in enumerate_tuples(4, 6):
         d = describe(4, 6, t)
         by_order[d.order] = by_order.get(d.order, 0) + 1
-        key = TypeKey(d.invariants.u, d.invariants.v)
+        key = TypeKey(d.invariants.A, d.invariants.B)
         by_type[key] = by_type.get(key, 0) + 1
         cyclic += d.cyclic
     assert table.by_order == by_order

@@ -12,17 +12,20 @@ from ranktwo import (
     TypeKey,
     build_table,
     count_by_order,
-    count_by_order_prime_power,
     count_by_type,
     count_cyclic,
-    count_cyclic_by_order,
     count_subgroups,
     count_total,
-    count_total_prime_power,
     divisors,
     tau,
 )
 from ranktwo.counting import local_table
+
+from paper_forms import (
+    count_by_order_prime_power,
+    count_cyclic_by_order,
+    count_total_prime_power,
+)
 
 TABLE_PAIRS = sorted(
     {(m, n) for m in range(1, 61) for n in range(1, 61)}

@@ -14,10 +14,11 @@ from ranktwo import (
     enumerate_tuples,
     find_tuple,
     materialize,
-    offset_form,
 )
 from ranktwo.goursat import NotASubgroupError, TupleMembershipError, check_membership
 from ranktwo.oracle import brute_subgroups
+
+from paper_forms import offset_form
 
 
 def element_order(x, y, m, n):
@@ -73,7 +74,7 @@ def test_describe_figure_subgroup():
     d = describe(12, 18, GoursatTuple(6, 2, 18, 6, 1))
     assert d.order == 36
     assert d.exponent == 18
-    assert (d.invariants.u, d.invariants.v) == (2, 18)
+    assert (d.invariants.A, d.invariants.B) == (2, 18)
     assert not d.cyclic
 
 
@@ -81,7 +82,7 @@ def test_describe_trivial():
     d = describe(5, 7, GoursatTuple(1, 1, 1, 1, 1))
     assert d.order == 1
     assert d.exponent == 1
-    assert (d.invariants.u, d.invariants.v) == (1, 1)
+    assert (d.invariants.A, d.invariants.B) == (1, 1)
     assert d.cyclic
 
 
@@ -94,7 +95,7 @@ def test_describe_order8_subgroup():
     d = describe(12, 18, t)
     assert d.order == len(s) == 8
     assert d.exponent == exponent
-    assert (d.invariants.u, d.invariants.v) == (len(s) // exponent, exponent) == (2, 4)
+    assert (d.invariants.A, d.invariants.B) == (len(s) // exponent, exponent) == (2, 4)
 
 
 def test_describe_membership_errors_are_distinct():
@@ -288,9 +289,9 @@ def test_round_trip_and_laws():
                     exponent = math.lcm(exponent, element_order(x, y, m, n))
                 assert d.exponent == exponent
                 # invariant-pair law
-                assert (d.invariants.u, d.invariants.v) == (
+                assert (d.invariants.A, d.invariants.B) == (
                     d.order // exponent, exponent)
-                assert g % d.invariants.u == 0
+                assert g % d.invariants.A == 0
                 # round trip
                 assert find_tuple(m, n, s) == t
 

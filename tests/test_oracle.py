@@ -9,7 +9,7 @@ import pytest
 from ranktwo import (
     ElementSet,
     GoursatTuple,
-    InvariantPair,
+    TypeKey,
     brute_subgroups,
     classify,
     count_total,
@@ -43,23 +43,23 @@ def test_brute_bound():
 
 
 def test_classify_trivial():
-    from ranktwo import InvariantPair
+    from ranktwo import TypeKey
     s = ElementSet.from_iterable(6, 6, [(0, 0)])
-    assert classify(s) == (1, 1, InvariantPair(1, 1))
+    assert classify(s) == (1, 1, TypeKey(1, 1))
 
 
 def test_classify_figure_subgroup():
     s = materialize(12, 18, GoursatTuple(6, 2, 18, 6, 1))
     order, exponent, inv = classify(s)
     assert (order, exponent) == (36, 18)
-    assert (inv.u, inv.v) == (2, 18)
+    assert (inv.A, inv.B) == (2, 18)
 
 
 def test_classify_full_klein():
     s = ElementSet.from_iterable(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     order, exponent, inv = classify(s)
     assert (order, exponent) == (4, 2)
-    assert (inv.u, inv.v) == (2, 2)
+    assert (inv.A, inv.B) == (2, 2)
 
 
 def test_classify_rejects_non_closed():
@@ -75,7 +75,7 @@ def pairwise_classification(pts, m, n):
         return None
     exponent = math.lcm(*(math.lcm(m // math.gcd(x, m), n // math.gcd(y, n))
                           for x, y in pts))
-    return len(pts), exponent, InvariantPair(len(pts) // exponent, exponent)
+    return len(pts), exponent, TypeKey(len(pts) // exponent, exponent)
 
 
 def assert_classify_decides(m, n, pts):
@@ -124,7 +124,7 @@ def test_classify_cyclic_iff_single_generator():
             if len(pts) == len(s):
                 generated = True
                 break
-        assert (inv.u == 1) == generated
+        assert (inv.A == 1) == generated
 
 
 def test_invariant_u_divides_gcd():
@@ -132,7 +132,7 @@ def test_invariant_u_divides_gcd():
     for m, n in [(4, 6), (8, 8), (9, 12)]:
         for s in brute_subgroups(m, n):
             _, _, inv = classify(s)
-            assert math.gcd(m, n) % inv.u == 0
+            assert math.gcd(m, n) % inv.A == 0
 
 
 def test_cross_check_12_18():
