@@ -151,44 +151,60 @@ def cmd_table(args) -> int:
 
 # --- enumerate -----------------------------------------------------------
 
+def _plain_block(a, b, c, d, order, v, u, g1x, g2y):
+    return (f"({a},{b},{c},{d},",
+            f") order={order} exponent={v} invariants=({u},{v}) "
+            f"cyclic={'yes' if u == 1 else 'no'} generators=({g1x},",
+            f"),(0,{g2y})\n")
+
+
+def _json_block(a, b, c, d, order, v, u, g1x, g2y):
+    return (f', {{"tuple": [{a}, {b}, {c}, {d}, ',
+            f'], "order": {order}, "exponent": {v}, "invariants": [{u}, {v}], '
+            f'"cyclic": {"true" if u == 1 else "false"}, "generators": [[{g1x}, ',
+            f'], [0, {g2y}]]}}')
+
+
+def _csv_block(a, b, c, d, order, v, u, g1x, g2y):
+    return (f"{a},{b},{c},{d},",
+            f",{order},{v},{u},{v},{int(u == 1)},{g1x},",
+            f",0,{g2y}\n")
+
+
+def _records(m: int, n: int, block_text):
+    """Each enumerate record, in enumerate_tuples order.  block_text gives a
+    block's fixed text before l, after l and after the first generator's y;
+    _blocks yields only valid blocks, so no record needs describe's check."""
+    for a, b, c, d, e in goursat._blocks(m, n):
+        order, v, u, g1x, ystep, g2y = goursat._block_facts(m, n, a, b, c, d)
+        pre, mid, post = block_text(a, b, c, d, order, v, u, g1x, g2y)
+        for ell in goursat._units(e):
+            yield f"{pre}{ell}{mid}{ell * ystep % n}{post}"
+
+
 def cmd_enumerate(args) -> int:
     m = check_nat(_positive(args.m, "m"), "m")
     n = check_nat(_positive(args.n, "n"), "n")
     if args.limit is not None and not 0 <= args.limit <= sys.maxsize:
         raise CliError(f"--limit must be in 0..{sys.maxsize}, got {args.limit}")
-    # enumerate_tuples yields only valid tuples, so each record is written
-    # straight from goursat._fields, without describe's membership check
-    tuples = itertools.islice(goursat.enumerate_tuples(m, n), args.limit)
+    block_text = {"plain": _plain_block, "json": _json_block,
+                  "csv": _csv_block}[args.format]
+    records = itertools.islice(_records(m, n, block_text), args.limit)
     write = sys.stdout.write
 
     if args.format == "json":
         write(f'{{"ambient": [{m}, {n}], "subgroups": [')
-        sep = ""
-        for t in tuples:
-            order, v, u, (g1x, g1y), (g2x, g2y) = goursat._fields(m, n, t)
-            write(
-                f'{sep}{{"tuple": [{t.a}, {t.b}, {t.c}, {t.d}, {t.ell}], '
-                f'"order": {order}, "exponent": {v}, "invariants": [{u}, {v}], '
-                f'"cyclic": {"true" if u == 1 else "false"}, '
-                f'"generators": [[{g1x}, {g1y}], [{g2x}, {g2y}]]}}'
-            )
-            sep = ", "
+        first = next(records, None)
+        if first is not None:
+            # every json record opens with its ", " separator but the first
+            write(first[2:])
+            sys.stdout.writelines(records)
         write("]}\n")
-    elif args.format == "csv":
-        write("a,b,c,d,ell,order,exponent,inv_u,inv_v,cyclic,"
-              "gen1_x,gen1_y,gen2_x,gen2_y\n")
-        for t in tuples:
-            order, v, u, (g1x, g1y), (g2x, g2y) = goursat._fields(m, n, t)
-            write(f"{t.a},{t.b},{t.c},{t.d},{t.ell},{order},{v},{u},{v},"
-                  f"{int(u == 1)},{g1x},{g1y},{g2x},{g2y}\n")
     else:
-        for t in tuples:
-            order, v, u, (g1x, g1y), (g2x, g2y) = goursat._fields(m, n, t)
-            write(
-                f"{t} order={order} exponent={v} invariants=({u},{v}) "
-                f"cyclic={'yes' if u == 1 else 'no'} "
-                f"generators=({g1x},{g1y}),({g2x},{g2y})\n"
-            )
+        if args.format == "csv":
+            write("a,b,c,d,ell,order,exponent,inv_u,inv_v,cyclic,"
+                  "gen1_x,gen1_y,gen2_x,gen2_y\n")
+        sys.stdout.writelines(records)
     return EXIT_OK
 
 

@@ -5,6 +5,14 @@ with a | m, b | a, c | n, d | c, a/b = c/d, and 1 <= l <= a/b coprime to a/b.
 This module enumerates those tuples, materializes the subgroup each one
 names, classifies it (order, exponent, invariant factors, cyclicity), and
 inverts the correspondence for an explicitly given subgroup.
+
+The tuples are walked one block at a time.  A block is one (a, b, c, d),
+found by a single divisor walk over a | m, b | a and c | n that keeps each
+c divisible by e = a/b; its tuples are the (a, b, c, d, l) with l a unit
+mod e.  The subgroup's order a*d and its invariant factors gcd(b, d) and
+lcm(a, c) depend only on the block, as does every generator coordinate
+except the first generator's y = l*n/c mod n, so a caller that lists many
+tuples computes them once per block.
 """
 
 from __future__ import annotations
@@ -99,38 +107,45 @@ def check_membership(m: int, n: int, t: GoursatTuple) -> None:
     assert gcd(b, d) * lcm(a, c) == a * d
 
 
-def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:
-    """Yield every valid tuple for Z_m x Z_n, lexicographic in (a,b,c,d,ell)."""
-    check_nat(m, "m")
-    check_nat(n, "n")
+def _blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (a, b, c, d, e) for a | m, b | a, c | n with e = a/b dividing c
+    and d = c/e, lexicographic in (a, b, c).  The tuples of a block are its
+    (a, b, c, d, l) with l one of _units(e)."""
     for a in divisors(m):
         for b in divisors(a):
             e = a // b
             for c in divisors(n):
-                if c % e != 0:
-                    continue
-                d = c // e
-                for ell in range(1, e + 1):
-                    if gcd(ell, e) == 1:
-                        yield GoursatTuple(a, b, c, d, ell)
+                if c % e == 0:
+                    yield a, b, c, c // e, e
 
 
-def _fields(m: int, n: int, t: GoursatTuple):
-    """Order a*d, exponent lcm(a, c), u = gcd(b, d) and the two generators of
-    the subgroup named by t, for a tuple already known to be valid."""
-    return (
-        t.a * t.d,
-        lcm(t.a, t.c),
-        gcd(t.b, t.d),
-        ((m // t.a) % m, (t.ell * (n // t.c)) % n),
-        (0, (n // t.d) % n),
-    )
+def _units(e: int) -> Iterator[int]:
+    """The l in 1..e coprime to e, ascending.  Lazy: e may be a 64-bit prime."""
+    return (ell for ell in range(1, e + 1) if gcd(ell, e) == 1)
+
+
+def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:
+    """Yield every valid tuple for Z_m x Z_n, lexicographic in (a,b,c,d,ell)."""
+    check_nat(m, "m")
+    check_nat(n, "n")
+    for a, b, c, d, e in _blocks(m, n):
+        for ell in _units(e):
+            yield GoursatTuple(a, b, c, d, ell)
+
+
+def _block_facts(m: int, n: int, a: int, b: int, c: int, d: int):
+    """What every tuple of a valid block (a, b, c, d) shares: the order a*d,
+    the exponent v = lcm(a, c), u = gcd(b, d) of the type Z_u x Z_v, the first
+    generator's x = m/a mod m and y step n/c, and the second generator's
+    y = n/d mod n.  The tuple with l has generators (m/a, l*n/c) and
+    (0, n/d), mod (m, n)."""
+    return a * d, lcm(a, c), gcd(b, d), (m // a) % m, n // c, (n // d) % n
 
 
 def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
     """Classify the subgroup named by t: order, exponent, type, generators."""
     check_membership(m, n, t)
-    order, v, u, gen1, gen2 = _fields(m, n, t)
+    order, v, u, g1x, ystep, g2y = _block_facts(m, n, t.a, t.b, t.c, t.d)
     return SubgroupDescriptor(
         ambient=(m, n),
         tuple=t,
@@ -138,7 +153,7 @@ def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
         exponent=v,
         invariants=TypeKey(u, v),
         cyclic=u == 1,
-        generators=(gen1, gen2),
+        generators=((g1x, t.ell * ystep % n), (0, g2y)),
     )
 
 

@@ -298,10 +298,28 @@ def reference_enumerate(m, n, fmt, limit=None):
     return buf.getvalue()
 
 
+def limits_ending_in_and_at_blocks(m, n):
+    """--limit values for Z_m x Z_n that end a listing inside a block (a, b,
+    c, d) with a/b >= 3, or exactly at such a block's last l; the first and
+    the last of each kind."""
+    tuples = list(enumerate_tuples(m, n))
+    inside, at_end = [], []
+    for k, (t, after) in enumerate(zip(tuples, tuples[1:] + [None]), start=1):
+        if t.a // t.b < 3:
+            continue
+        if after is not None and after[:4] == t[:4]:
+            inside.append(k)
+        else:
+            at_end.append(k)
+    return [inside[0], inside[-1], at_end[0], at_end[-1]]
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 @pytest.mark.parametrize("m, n, limit", [(1, 1, None), (2, 2, None), (12, 18, None),
                                          (36, 48, None), (1, 1, 0), (2, 2, 3),
-                                         (12, 18, 17), (36, 48, 100000), (720, 720, 500)])
+                                         (12, 18, 17), (36, 48, 100000), (720, 720, 500),
+                                         (720, 720, None)]
+                         + [(36, 48, k) for k in limits_ending_in_and_at_blocks(36, 48)])
 def test_enumerate_matches_the_validating_renderer(capsys, fmt, m, n, limit):
     argv = ["enumerate", str(m), str(n), "--format", fmt]
     if limit is not None:
@@ -355,6 +373,25 @@ def test_enumerate_64_bit_prime_is_fast(capsys):
     assert len(lines) == 2
     assert lines[0].startswith("(1,1,1,1,1) order=1 ")
     assert lines[1].startswith(f"({p},{p},1,1,1) order={p} ")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_enumerate_64_bit_prime_square_stays_lazy(capsys, fmt):
+    # records 3-5 open the block a/b = p, whose p - 1 units no one can list
+    p = LARGEST_64_BIT_PRIME
+    code, out, _ = run_cold_within_a_second(capsys, "enumerate", str(p), str(p),
+                                            "--limit", "5", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        tuples = [r["tuple"] for r in json.loads(out)["subgroups"]]
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        tuples = [[int(x) for x in row[:5]] for row in rows]
+    else:
+        tuples = [[int(x) for x in line[1:line.index(")")].split(",")]
+                  for line in out.splitlines()]
+    assert len(tuples) == 5
+    assert tuples[2:] == [[p, 1, p, 1, ell] for ell in (1, 2, 3)]
 
 
 # --- figure ----------------------------------------------------------------

@@ -25,6 +25,20 @@ def element_order(x, y, m, n):
     return math.lcm(m // math.gcd(x, m), n // math.gcd(y, n))
 
 
+def generated(m, n, generators):
+    """The closure of {(0, 0)} under adding each generator, mod (m, n)."""
+    span = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for gx, gy in generators:
+            p = ((x + gx) % m, (y + gy) % n)
+            if p not in span:
+                span.add(p)
+                frontier.append(p)
+    return span
+
+
 # --- enumerate_tuples -------------------------------------------------------
 
 def test_enumerate_trivial_group():
@@ -292,6 +306,8 @@ def test_round_trip_and_laws():
                 assert (d.invariants.A, d.invariants.B) == (
                     d.order // exponent, exponent)
                 assert g % d.invariants.A == 0
+                # the two generators describe prints generate the subgroup
+                assert generated(m, n, d.generators) == set(s.elements)
                 # round trip
                 assert find_tuple(m, n, s) == t
 
