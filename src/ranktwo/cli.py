@@ -3,16 +3,21 @@
 Subcommands: count, table, enumerate, figure, verify.  Output formats are
 plain (default), json, and csv.  Exit codes: 0 success, 2 usage or domain
 error, 3 verification mismatch.
+
+Every number argument passes `_positive`, which refuses a value below 1 or
+past 64 bits before any output.  Every value written is an int or a fixed
+token, so output is f-string rows that need no quoting, written as they
+go; `json.dumps` writes only the small count and figure documents and
+verify's reports, whose mismatch text needs escaping.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
+import signal
 import sys
 
 from . import counting, goursat, oracle
@@ -33,34 +38,14 @@ def _positive(value: str, name: str) -> int:
         n = int(value)
     except ValueError:
         raise CliError(f"{name} must be an integer, got {value!r}")
-    if n < 1:
-        raise CliError(f"{name} must be >= 1, got {n}")
-    return n
+    return check_nat(n, name)
 
 
 def _parse_type(spec: str) -> TypeKey:
     parts = spec.split(",")
     if len(parts) != 2:
         raise CliError(f"--type expects A,B, got {spec!r}")
-    a = _positive(parts[0], "A")
-    b = _positive(parts[1], "B")
-    if b % a != 0:
-        raise CliError(f"A = {a} does not divide B = {b}")
-    return TypeKey(a, b)
-
-
-def _type_name(key: TypeKey) -> str:
-    if key.A == 1:
-        return f"Z_{key.B}"
-    return f"Z_{key.A} x Z_{key.B}"
-
-
-def _csv_dump(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return TypeKey(_positive(parts[0], "A"), _positive(parts[1], "B"))
 
 
 # --- count ---------------------------------------------------------------
@@ -87,7 +72,7 @@ def cmd_count(args) -> int:
     if args.format == "json":
         print(json.dumps({"ambient": [m, n], "filter": label or None, "count": value}))
     elif args.format == "csv":
-        print(_csv_dump(["count"], [[value]]), end="")
+        print(f"count\n{value}")
     else:
         print(value)
     return EXIT_OK
@@ -95,57 +80,47 @@ def cmd_count(args) -> int:
 
 # --- table ---------------------------------------------------------------
 
-def table_json_obj(table: counting.SubgroupTable) -> dict:
-    return {
-        "ambient": list(table.ambient),
-        "total": table.total,
-        "by_order": [
-            {"order": o, "count": c} for o, c in table.by_order.items()
-        ],
-        "by_type": [
-            {"a": k.A, "b": k.B, "count": c} for k, c in table.by_type.items()
-        ],
-        "cyclic": table.cyclic_total,
-        "noncyclic": table.noncyclic_total,
-    }
-
-
-def render_table_plain(table: counting.SubgroupTable) -> str:
+def _table_lines(table: counting.SubgroupTable, fmt: str):
+    """The table's output in fmt, one row at a time.  A json document is a
+    single line, yielded in pieces; by_order and by_type are never empty."""
     m, n = table.ambient
-    lines = [f"Subgroups of Z_{m} x Z_{n}"]
-    lines.append(f"total: {table.total}")
-    lines.append(f"cyclic: {table.cyclic_total}")
-    lines.append(f"noncyclic: {table.noncyclic_total}")
-    lines.append("by order:")
-    for order, cnt in table.by_order.items():
-        lines.append(f"  {order}: {cnt}")
-    lines.append("by type:")
-    for key, cnt in table.by_type.items():
-        lines.append(f"  {_type_name(key)}: {cnt}")
-    return "\n".join(lines)
-
-
-def render_table_csv(table: counting.SubgroupTable) -> str:
-    rows = [["total", "", table.total],
-            ["cyclic", "", table.cyclic_total],
-            ["noncyclic", "", table.noncyclic_total]]
-    for order, cnt in table.by_order.items():
-        rows.append(["order", str(order), cnt])
-    for key, cnt in table.by_type.items():
-        rows.append(["type", f"{key.A}x{key.B}", cnt])
-    return _csv_dump(["row", "key", "count"], rows)
+    if fmt == "json":
+        yield f'{{"ambient": [{m}, {n}], "total": {table.total}, "by_order": ['
+        sep = ""
+        for order, cnt in table.by_order.items():
+            yield f'{sep}{{"order": {order}, "count": {cnt}}}'
+            sep = ", "
+        yield '], "by_type": ['
+        sep = ""
+        for (a, b), cnt in table.by_type.items():
+            yield f'{sep}{{"a": {a}, "b": {b}, "count": {cnt}}}'
+            sep = ", "
+        yield (f'], "cyclic": {table.cyclic_total}, '
+               f'"noncyclic": {table.noncyclic_total}}}\n')
+    elif fmt == "csv":
+        yield (f"row,key,count\ntotal,,{table.total}\ncyclic,,{table.cyclic_total}\n"
+               f"noncyclic,,{table.noncyclic_total}\n")
+        for order, cnt in table.by_order.items():
+            yield f"order,{order},{cnt}\n"
+        for (a, b), cnt in table.by_type.items():
+            yield f"type,{a}x{b},{cnt}\n"
+    else:
+        yield (f"Subgroups of Z_{m} x Z_{n}\ntotal: {table.total}\n"
+               f"cyclic: {table.cyclic_total}\nnoncyclic: {table.noncyclic_total}\n"
+               "by order:\n")
+        for order, cnt in table.by_order.items():
+            yield f"  {order}: {cnt}\n"
+        yield "by type:\n"
+        for (a, b), cnt in table.by_type.items():
+            yield f"  Z_{b}: {cnt}\n" if a == 1 else f"  Z_{a} x Z_{b}: {cnt}\n"
 
 
 def cmd_table(args) -> int:
     m = _positive(args.m, "m")
     n = _positive(args.n, "n")
+    # the whole table is built, and any refusal raised, before the first write
     table = counting.build_table(m, n)
-    if args.format == "json":
-        print(json.dumps(table_json_obj(table)))
-    elif args.format == "csv":
-        print(render_table_csv(table), end="")
-    else:
-        print(render_table_plain(table))
+    sys.stdout.writelines(_table_lines(table, args.format))
     return EXIT_OK
 
 
@@ -183,8 +158,8 @@ def _records(m: int, n: int, block_text):
 
 
 def cmd_enumerate(args) -> int:
-    m = check_nat(_positive(args.m, "m"), "m")
-    n = check_nat(_positive(args.n, "n"), "n")
+    m = _positive(args.m, "m")
+    n = _positive(args.n, "n")
     if args.limit is not None and not 0 <= args.limit <= sys.maxsize:
         raise CliError(f"--limit must be in 0..{sys.maxsize}, got {args.limit}")
     block_text = {"plain": _plain_block, "json": _json_block,
@@ -254,7 +229,8 @@ def cmd_figure(args) -> int:
             "points": [list(p) for p in s.elements],
         }))
     elif args.format == "csv":
-        print(_csv_dump(["x", "y"], [list(p) for p in s.elements]), end="")
+        sys.stdout.write("x,y\n")
+        sys.stdout.writelines(f"{x},{y}\n" for x, y in s.elements)
     else:
         print(render_figure(m, n, s.elements))
     return EXIT_OK
@@ -415,15 +391,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
+    except (CliError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entry() -> None:
+    # a reader that closes the pipe early (`ranktwo enumerate 720 720 | head`)
+    # ends the process by SIGPIPE, with no BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

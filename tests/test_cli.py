@@ -6,6 +6,10 @@ import csv
 import io
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -13,18 +17,27 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ranktwo import arith, describe, enumerate_tuples
+from ranktwo import arith, build_table, describe, enumerate_tuples
 from ranktwo.cli import main
 from ranktwo.oracle import MAX_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv):
+    """The CLI as its own process, started the way the console script starts it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "ranktwo.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 # --- count ---------------------------------------------------------------
@@ -140,19 +153,45 @@ def test_table_json_round_trip(capsys):
     assert obj["cyclic"] + obj["noncyclic"] == obj["total"]
 
 
-def test_table_formats_agree(capsys):
-    _, plain, _ = run(capsys, "table", "12", "18")
-    _, js, _ = run(capsys, "table", "12", "18", "--format", "json")
-    _, cs, _ = run(capsys, "table", "12", "18", "--format", "csv")
+def plain_type_key(name):
+    """(A, B) from a plain table's type name, `Z_B` or `Z_A x Z_B`."""
+    factors = [int(z.removeprefix("Z_")) for z in name.split(" x ")]
+    return tuple([1] * (2 - len(factors)) + factors)
+
+
+@pytest.mark.parametrize("m, n", [(12, 18), (27720, 27720)])
+def test_table_formats_agree(capsys, m, n):
+    table = build_table(m, n)
+    _, plain, _ = run(capsys, "table", str(m), str(n))
+    _, js, _ = run(capsys, "table", str(m), str(n), "--format", "json")
+    _, cs, _ = run(capsys, "table", str(m), str(n), "--format", "csv")
+    totals = (table.total, table.cyclic_total, table.noncyclic_total)
+    by_order = list(table.by_order.items())
+    by_type = [(tuple(key), cnt) for key, cnt in table.by_type.items()]
+
     obj = json.loads(js)
-    rows = {(r[0], r[1]): int(r[2]) for r in list(csv.reader(io.StringIO(cs)))[1:]}
-    assert rows[("total", "")] == obj["total"] == 80
-    assert rows[("cyclic", "")] == obj["cyclic"]
-    for entry in obj["by_order"]:
-        assert rows[("order", str(entry["order"]))] == entry["count"]
-        assert f"  {entry['order']}: {entry['count']}" in plain
-    for entry in obj["by_type"]:
-        assert rows[("type", f"{entry['a']}x{entry['b']}")] == entry["count"]
+    assert obj["ambient"] == [m, n]
+    assert (obj["total"], obj["cyclic"], obj["noncyclic"]) == totals
+    assert [(r["order"], r["count"]) for r in obj["by_order"]] == by_order
+    assert [((r["a"], r["b"]), r["count"]) for r in obj["by_type"]] == by_type
+
+    header, *rows = csv.reader(io.StringIO(cs))
+    assert header == ["row", "key", "count"]
+    head, orders, types = rows[:3], rows[3:3 + len(by_order)], rows[3 + len(by_order):]
+    assert [(r[0], r[1]) for r in head] == [("total", ""), ("cyclic", ""), ("noncyclic", "")]
+    assert tuple(int(r[2]) for r in head) == totals
+    assert {r[0] for r in orders} == {"order"} and {r[0] for r in types} == {"type"}
+    assert [(int(k), int(c)) for _, k, c in orders] == by_order
+    assert [(tuple(map(int, k.split("x"))), int(c)) for _, k, c in types] == by_type
+
+    lines = plain.splitlines()
+    at_order, at_type = lines.index("by order:"), lines.index("by type:")
+    assert lines[:at_order] == [f"Subgroups of Z_{m} x Z_{n}"] + [
+        f"{name}: {value}" for name, value in zip(("total", "cyclic", "noncyclic"), totals)]
+    orders = [line.split(": ") for line in lines[at_order + 1:at_type]]
+    assert [(int(k), int(c)) for k, c in orders] == by_order
+    types = [line.split(": ") for line in lines[at_type + 1:]]
+    assert [(plain_type_key(k.strip()), int(c)) for k, c in types] == by_type
 
 
 def test_table_rejects_product_past_64_bits(capsys):
@@ -651,6 +690,50 @@ def test_verify_range_streams_its_output(fmt, last_line):
     assert code == 0
     assert sink.tail.endswith(f"\n{last_line}\n")
     assert peak < 2**20
+
+
+# --- every number argument is checked up front --------------------------------
+
+OVER_64_BITS = str(2**64)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", OVER_64_BITS, "18"],
+    ["count", "12", "18", "--order", OVER_64_BITS],
+    ["count", "12", "18", "--type", f"1,{OVER_64_BITS}"],
+    ["table", OVER_64_BITS, "18"],
+    ["enumerate", OVER_64_BITS, "18"],
+    ["figure", OVER_64_BITS, "18", "1", "1", "1", "1", "1"],
+    ["figure", "12", "18", OVER_64_BITS, "1", "1", "1", "1"],
+    ["verify", OVER_64_BITS, "18"],
+    ["verify", "--range", OVER_64_BITS, "1"],
+], ids=["count-m", "count-order", "count-type", "table-m", "enumerate-m", "figure-m",
+        "figure-a", "verify-m", "verify-range"])
+def test_a_number_past_64_bits_is_refused_before_any_output(capsys, argv):
+    if "--range" in argv:
+        # a sweep that is not refused would run for ever, so it runs under a timeout
+        proc = spawn(*argv)
+        try:
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        code = proc.returncode
+    else:
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "exceeds 64-bit range" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_pipe_ends_the_process_quietly():
+    proc = spawn("enumerate", "720", "720")
+    assert proc.stdout.readline().startswith("(1,1,1,1,1) ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=10) == -signal.SIGPIPE
+    assert err == ""
 
 
 # --- one parser per process ------------------------------------------------
