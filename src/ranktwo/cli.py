@@ -80,6 +80,9 @@ def cmd_count(args) -> int:
 
 # --- table ---------------------------------------------------------------
 
+TABLE_BATCH_ROWS = 2048
+
+
 def _table_lines(table: counting.SubgroupTable, fmt: str):
     """The table's output in fmt, one row at a time.  A json document is a
     single line, yielded in pieces; by_order and by_type are never empty."""
@@ -120,11 +123,21 @@ def cmd_table(args) -> int:
     n = _positive(args.n, "n")
     # the whole table is built, and any refusal raised, before the first write
     table = counting.build_table(m, n)
-    sys.stdout.writelines(_table_lines(table, args.format))
+    rows = _table_lines(table, args.format)
+    # one write per batch of rows, not per row: the 295,251 rows of
+    # `table 3491888400 3491888400` take 145 writes, and only one batch is
+    # held as text at a time
+    while batch := "".join(itertools.islice(rows, TABLE_BATCH_ROWS)):
+        sys.stdout.write(batch)
     return EXIT_OK
 
 
 # --- enumerate -----------------------------------------------------------
+
+# Without --limit, a listing past this many records is refused up front.  At
+# about 0.5 M records/s (2-vCPU x86, Python 3.11) that is about 20 s.
+MAX_RECORDS = 10**7
+
 
 def _plain_block(a, b, c, d, order, v, u, g1x, g2y):
     return (f"({a},{b},{c},{d},",
@@ -160,7 +173,17 @@ def _records(m: int, n: int, block_text):
 def cmd_enumerate(args) -> int:
     m = _positive(args.m, "m")
     n = _positive(args.n, "n")
-    if args.limit is not None and not 0 <= args.limit <= sys.maxsize:
+    if args.limit is None:
+        try:
+            count = counting.count_subgroups(m, n)
+        except OverflowError:
+            count = None  # 2^64 subgroups or more
+        if count is None or count > MAX_RECORDS:
+            size = "at least 2^64" if count is None else count
+            raise CliError(f"Z_{m} x Z_{n} has {size} subgroups, more than the "
+                           f"{MAX_RECORDS} enumerate lists without --limit; "
+                           "pass --limit N")
+    elif not 0 <= args.limit <= sys.maxsize:
         raise CliError(f"--limit must be in 0..{sys.maxsize}, got {args.limit}")
     block_text = {"plain": _plain_block, "json": _json_block,
                   "csv": _csv_block}[args.format]
@@ -238,6 +261,11 @@ def cmd_figure(args) -> int:
 
 # --- verify --------------------------------------------------------------
 
+# A --range sweep covers at most this many pairs, refused up front past it.
+# At about 160k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take 6-7 s.
+MAX_RANGE_PAIRS = 10**6
+
+
 def _report_obj(report: oracle.OracleReport) -> dict:
     return {
         "ambient": list(report.ambient),
@@ -270,6 +298,9 @@ def cmd_verify(args) -> int:
             raise CliError("verify takes either m n or --range M N, not both")
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
+        if m_max * n_max > MAX_RANGE_PAIRS:
+            raise CliError(f"--range sweeps at most {MAX_RANGE_PAIRS} pairs, got "
+                           f"{m_max} x {n_max} = {m_max * n_max}")
         single = m_max * n_max == 1
         # (m, n, report), with report None for a pair over the bound; the
         # sweep is checked and written one pair at a time

@@ -41,10 +41,10 @@ class TypeKey(_TypeKeyFields):
     It keys `build_table`'s by-type counts, filters `count_by_type` and
     `count_subgroups`, and is the invariant pair that `describe` and
     `oracle.classify` return.  `TypeKey(A, B)` checks its values.
-    `TypeKey._make((A, B))` (and `_replace`) do not: they are for keys
-    already known to be valid, such as the products of local types that
-    `build_table` forms.  Equality, order and hash are those of the tuple
-    (A, B).
+    `TypeKey._make((A, B))`, `_replace` and `tuple.__new__(TypeKey, (A, B))`
+    do not: they are for keys already known to be valid.  `build_table`
+    makes its keys, products of local types, through `tuple.__new__`.
+    Equality, order and hash are those of the tuple (A, B).
     """
 
     __slots__ = ()
@@ -200,9 +200,15 @@ def build_table(m: int, n: int) -> SubgroupTable:
     """Aggregate report as the product of the local tables at each prime of m*n.
 
     Orders and (u, v) multiply prime by prime, so no key is reached twice;
-    zero-count rows never arise.  Refuses m*n past 64 bits.  The total is
-    formed and checked for overflow first; no count by order or by type
-    exceeds it, so their products need no check of their own.
+    zero-count rows never arise.  The products are ascending lists of
+    (order, count) and (u, v, count) rows.  At each prime every local row,
+    in ascending order, scales the whole list; scaling keeps the order, so
+    each local row gives one ascending run, and one sort merges the runs.
+    The dicts are read straight off the final lists, and each type key is
+    made once, unchecked: u | v holds at every prime, so it holds for the
+    products.  Refuses m*n past 64 bits.  The total is formed and checked
+    for overflow first; no count by order or by type exceeds it, so their
+    products need no check of their own.
     """
     check_nat(m, "m")
     check_nat(n, "n")
@@ -214,28 +220,30 @@ def build_table(m: int, n: int) -> SubgroupTable:
     for _, local in local_tables:
         total = checked_mul(total, sum(local.values()))
         cyclic *= sum(cnt for (_, i, _), cnt in local.items() if i == 0)
-    by_order = {1: 1}
-    by_type = {(1, 1): 1}
+    orders = [(1, 1)]
+    types = [(1, 1, 1)]
     for p, local in local_tables:
         local_order: dict[int, int] = {}
         for (c, _, _), cnt in local.items():
             local_order[c] = local_order.get(c, 0) + cnt
-        by_order = {
-            o * p**c: cnt * lc
-            for o, cnt in by_order.items()
-            for c, lc in local_order.items()
-        }
-        by_type = {
-            (u * p**i, v * p**j): cnt * lc
-            for (u, v), cnt in by_type.items()
-            for (_, i, j), lc in local.items()
-        }
-    key = TypeKey._make  # u | v holds prime by prime
+        orders = [
+            (o * q, cnt * lc)
+            for q, lc in sorted((p**c, lc) for c, lc in local_order.items())
+            for o, cnt in orders
+        ]
+        orders.sort()
+        types = [
+            (u * pi, v * pj, cnt * lc)
+            for pi, pj, lc in sorted((p**i, p**j, lc) for (_, i, j), lc in local.items())
+            for u, v, cnt in types
+        ]
+        types.sort()
+    new = tuple.__new__
     return SubgroupTable(
         ambient=(m, n),
         total=total,
-        by_order=dict(sorted(by_order.items())),
-        by_type={key(uv): cnt for uv, cnt in sorted(by_type.items())},
+        by_order=dict(orders),
+        by_type={new(TypeKey, (u, v)): cnt for u, v, cnt in types},
         cyclic_total=cyclic,
         noncyclic_total=total - cyclic,
     )

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ranktwo import arith, build_table, describe, enumerate_tuples
+from ranktwo import arith, build_table, cli, describe, enumerate_tuples
 from ranktwo.cli import main
 from ranktwo.oracle import MAX_BOUND
 
@@ -215,6 +216,25 @@ def test_table_highly_composite_is_fast(capsys):
     assert obj["cyclic"] == count_cyclic(720720, 720720)
     assert obj["total"] == sum(r["count"] for r in obj["by_order"])
     assert obj["total"] == sum(r["count"] for r in obj["by_type"])
+
+
+# The largest table in 64 bits: 3491888400 = 2^4 3^3 5^2 7 11 13 17 19, with
+# 218,700 types.  Digests and line counts of every format, byte for byte.
+TOP_TABLE_DIGESTS = {
+    "plain": ("d384006dd2550625cd6e961f2719aced38b6e7c614c937d1be4877d15fb93bd0", 295251),
+    "json": ("916b0d4054e0317aa90115abe3abd65ed14c7f8271536dcdb7d74e2e386379e4", 1),
+    "csv": ("eb4e873e2cc2cb5832c344118cbd58ad86e5c4912a9c42dfc762380c364021d0", 295249),
+}
+
+
+def test_table_at_the_top_of_the_64_bit_range_is_pinned():
+    table = build_table(3491888400, 3491888400)
+    for fmt, expected in TOP_TABLE_DIGESTS.items():
+        digest, lines = hashlib.sha256(), 0
+        for piece in cli._table_lines(table, fmt):
+            digest.update(piece.encode())
+            lines += piece.count("\n")
+        assert (digest.hexdigest(), lines) == expected, fmt
 
 
 # --- enumerate -------------------------------------------------------------
@@ -431,6 +451,49 @@ def test_enumerate_64_bit_prime_square_stays_lazy(capsys, fmt):
                   for line in out.splitlines()]
     assert len(tuples) == 5
     assert tuples[2:] == [[p, 1, p, 1, ell] for ell in (1, 2, 3)]
+
+
+class _NoWrites:
+    """A stdout that fails the test at its first write, so a request that
+    should have been refused up front cannot run on for ever."""
+
+    def write(self, s):
+        raise AssertionError(f"wrote {s[:60]!r}")
+
+    writelines = write
+
+    def flush(self):
+        pass
+
+
+def run_refused(capsys, *argv):
+    """(exit code, stderr) of a request that writes nothing, run cold within a second."""
+    with contextlib.redirect_stdout(_NoWrites()):
+        code, _, err = run_cold_within_a_second(capsys, *argv)
+    return code, err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("m, size", [
+    (LARGEST_64_BIT_PRIME, str(LARGEST_64_BIT_PRIME + 3)),
+    (2**63, "at least 2^64"),  # count_subgroups overflows
+], ids=["64-bit-prime-square", "past-2^64-subgroups"])
+def test_enumerate_without_limit_refuses_a_huge_listing(capsys, fmt, m, size):
+    code, err = run_refused(capsys, "enumerate", str(m), str(m), "--format", fmt)
+    assert code == 2
+    assert f"has {size} subgroups" in err and "--limit" in err
+
+
+def test_enumerate_record_cap_is_inclusive(capsys, monkeypatch):
+    # Z_12 x Z_18 has 80 subgroups
+    golden = (GOLDEN / "enumerate_12_18.txt").read_text()
+    monkeypatch.setattr(cli, "MAX_RECORDS", 80)
+    assert run(capsys, "enumerate", "12", "18") == (0, golden, "")
+    monkeypatch.setattr(cli, "MAX_RECORDS", 79)
+    code, out, err = run(capsys, "enumerate", "12", "18")
+    assert (code, out) == (2, "")
+    assert "has 80 subgroups, more than the 79" in err
+    assert run(capsys, "enumerate", "12", "18", "--limit", "80") == (0, golden, "")
 
 
 # --- figure ----------------------------------------------------------------
@@ -690,6 +753,25 @@ def test_verify_range_streams_its_output(fmt, last_line):
     assert code == 0
     assert sink.tail.endswith(f"\n{last_line}\n")
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_refuses_a_sweep_past_the_pair_cap(capsys, fmt):
+    for m_max, n_max in (("1000", "1001"), ("18446744073709551615", "1")):
+        code, err = run_refused(capsys, "verify", "--range", m_max, n_max,
+                                "--bound", "1", "--format", fmt)
+        assert code == 2
+        assert (f"--range sweeps at most {cli.MAX_RANGE_PAIRS} pairs, "
+                f"got {m_max} x {n_max}") in err
+
+
+def test_verify_pair_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RANGE_PAIRS", 6)
+    code, out, _ = run(capsys, "verify", "--range", "2", "3")
+    assert (code, out.splitlines()[-1]) == (0, "6 pairs checked, 0 mismatches")
+    code, out, err = run(capsys, "verify", "--range", "7", "1")
+    assert (code, out) == (2, "")
+    assert "--range sweeps at most 6 pairs, got 7 x 1 = 7" in err
 
 
 # --- every number argument is checked up front --------------------------------

@@ -2,11 +2,18 @@
 
 `build_table` and `count_subgroups` multiply local tables over the primes of
 m*n; the paper's divisor-sum identities and prime-power closed forms are
-independent statements of the same counts.
+independent statements of the same counts.  Birkhoff's formula, as the
+benchmark's `bench/reference.py` evaluates it with sympy, is a third one,
+and it reaches the whole 64-bit range.
 """
 
+import importlib.util
 import math
+import random
 import time
+from pathlib import Path
+
+import pytest
 
 from ranktwo import (
     TypeKey,
@@ -113,3 +120,59 @@ def test_large_prime_table_is_fast():
     elapsed = time.perf_counter() - start
     assert table.total == 2147483650
     assert elapsed < 1.0
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+
+# Small primes, a 17-bit one, and the largest 31- and 32-bit primes.
+BIRKHOFF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                   65537, 2**31 - 1, 2**32 - 5)
+
+
+def _birkhoff_pairs(seed: int, count: int) -> list[tuple[int, int]]:
+    """Seeded pairs with m*n < 2^64: 1 to 6 primes, each exponent at most 20."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        m = n = 1
+        for p in rng.sample(BIRKHOFF_PRIMES, rng.randint(1, 6)):
+            room = 0
+            while m * n * p ** (room + 1) < 2**64:
+                room += 1
+            alpha = rng.randint(0, min(20, room))
+            beta = rng.randint(0, min(20, room - alpha))
+            if rng.random() < 0.5:
+                alpha, beta = beta, alpha
+            m, n = m * p**alpha, n * p**beta
+        pairs.append((m, n))
+    return pairs
+
+
+def test_build_table_matches_birkhoffs_formula():
+    pytest.importorskip("sympy")
+    # bench/reference.py imports only sympy and the standard library
+    spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    pairs = _birkhoff_pairs(20121, 300)
+    # the sample reaches both large primes and an exponent of 20
+    assert any(math.prod(pair) % (2**31 - 1) == 0 for pair in pairs)
+    assert any(math.prod(pair) % (2**32 - 5) == 0 for pair in pairs)
+    assert any(m % 2**20 == 0 or n % 2**20 == 0 for m, n in pairs)
+    rng = random.Random(20122)
+    for m, n in pairs:
+        expected = reference.subgroup_table(m, n)
+        table = build_table(m, n)
+        assert (table.total, table.cyclic_total) == \
+            (expected["total"], expected["cyclic"]), (m, n)
+        assert table.by_order == expected["by_order"], (m, n)
+        assert table.by_type == expected["by_type"], (m, n)
+        assert list(table.by_order) == sorted(table.by_order), (m, n)
+        assert list(table.by_type) == sorted(table.by_type), (m, n)
+        assert all(type(key) is TypeKey for key in table.by_type), (m, n)
+        order = rng.choice(list(expected["by_order"]))
+        key = TypeKey(*rng.choice(list(expected["by_type"])))
+        assert count_subgroups(m, n) == expected["total"], (m, n)
+        assert count_subgroups(m, n, cyclic=True) == expected["cyclic"], (m, n)
+        assert count_subgroups(m, n, order=order) == expected["by_order"][order], (m, n)
+        assert count_subgroups(m, n, key=key) == expected["by_type"][key], (m, n)
