@@ -134,8 +134,8 @@ def cmd_table(args) -> int:
 
 # --- enumerate -----------------------------------------------------------
 
-# Without --limit, a listing past this many records is refused up front.  At
-# about 0.5 M records/s (2-vCPU x86, Python 3.11) that is about 20 s.
+# A listing past this many records, with or without --limit, is refused up
+# front.  At about 0.5 M records/s (2-vCPU x86, Python 3.11) that is about 20 s.
 MAX_RECORDS = 10**7
 
 
@@ -173,21 +173,25 @@ def _records(m: int, n: int, block_text):
 def cmd_enumerate(args) -> int:
     m = _positive(args.m, "m")
     n = _positive(args.n, "n")
-    if args.limit is None:
+    limit = args.limit
+    if limit is not None and limit < 0:
+        raise CliError(f"--limit must be 0 or more, got {limit}")
+    if limit is None or limit > MAX_RECORDS:
+        # the listing has min(limit, count) records, so the group is counted
+        # only when limit alone does not keep it within MAX_RECORDS; a count
+        # that passes is below limit, so it becomes the limit
         try:
-            count = counting.count_subgroups(m, n)
+            limit = counting.count_subgroups(m, n)
         except OverflowError:
-            count = None  # 2^64 subgroups or more
-        if count is None or count > MAX_RECORDS:
-            size = "at least 2^64" if count is None else count
+            limit = None  # 2^64 subgroups or more
+        if limit is None or limit > MAX_RECORDS:
+            size = "at least 2^64" if limit is None else limit
             raise CliError(f"Z_{m} x Z_{n} has {size} subgroups, more than the "
-                           f"{MAX_RECORDS} enumerate lists without --limit; "
-                           "pass --limit N")
-    elif not 0 <= args.limit <= sys.maxsize:
-        raise CliError(f"--limit must be in 0..{sys.maxsize}, got {args.limit}")
+                           f"{MAX_RECORDS} records enumerate lists at once; "
+                           f"pass --limit N with N <= {MAX_RECORDS}")
     block_text = {"plain": _plain_block, "json": _json_block,
                   "csv": _csv_block}[args.format]
-    records = itertools.islice(_records(m, n, block_text), args.limit)
+    records = itertools.islice(_records(m, n, block_text), limit)
     write = sys.stdout.write
 
     if args.format == "json":
@@ -266,29 +270,6 @@ def cmd_figure(args) -> int:
 MAX_RANGE_PAIRS = 10**6
 
 
-def _report_obj(report: oracle.OracleReport) -> dict:
-    return {
-        "ambient": list(report.ambient),
-        "subgroups": report.subgroup_count,
-        "mismatches": [
-            {"side": side, "key": key, "expected": exp, "actual": act}
-            for side, key, exp, act in report.mismatches
-        ],
-    }
-
-
-def _check_or_skip(m: int, n: int, bound: int) -> oracle.OracleReport | None:
-    try:
-        return oracle.cross_check(m, n, bound)
-    except oracle.BoundExceededError:
-        return None
-
-
-def _print_mismatches(report: oracle.OracleReport) -> None:
-    for side, key, exp, act in report.mismatches:
-        print(f"  mismatch {side} key={key}: oracle={exp} formula={act}")
-
-
 def cmd_verify(args) -> int:
     bound = args.bound
     if not 1 <= bound <= oracle.MAX_BOUND:
@@ -298,66 +279,60 @@ def cmd_verify(args) -> int:
             raise CliError("verify takes either m n or --range M N, not both")
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
-        if m_max * n_max > MAX_RANGE_PAIRS:
+        size = m_max * n_max
+        if size > MAX_RANGE_PAIRS:
             raise CliError(f"--range sweeps at most {MAX_RANGE_PAIRS} pairs, got "
-                           f"{m_max} x {n_max} = {m_max * n_max}")
-        single = m_max * n_max == 1
-        # (m, n, report), with report None for a pair over the bound; the
-        # sweep is checked and written one pair at a time
-        checked = ((m, n, _check_or_skip(m, n, bound))
-                   for m in range(1, m_max + 1) for n in range(1, n_max + 1))
+                           f"{m_max} x {n_max} = {size}")
+        pairs = itertools.product(range(1, m_max + 1), range(1, n_max + 1))
+    elif args.m is None or args.n is None:
+        raise CliError("verify needs either m n or --range M N")
     else:
-        if args.m is None or args.n is None:
-            raise CliError("verify needs either m n or --range M N")
-        m, n = _positive(args.m, "m"), _positive(args.n, "n")
-        try:
-            checked = [(m, n, oracle.cross_check(m, n, bound))]
-        except oracle.BoundExceededError as exc:
-            raise CliError(str(exc))
-        single = True
+        pairs, size = [(_positive(args.m, "m"), _positive(args.n, "n"))], 1
 
-    total_mismatches = 0
-    if args.format == "json":
-        skipped = []
-        sep = ""
-        sys.stdout.write('{"pairs": [')
-        for m, n, r in checked:
-            if r is None:
+    # pairs are checked and written one at a time.  head is the text due
+    # before the next row: the header, then json's separator.  So a single
+    # pair, refused over the bound, has written nothing.
+    fmt = args.format
+    write = sys.stdout.write
+    head = {"json": '{"pairs": [', "csv": "m,n,subgroups,mismatches\n"}.get(fmt, "")
+    checked = total_mismatches = 0
+    skipped = []  # json only; the other formats count skips as size - checked
+    for m, n in pairs:
+        try:
+            r = oracle.cross_check(m, n, bound)
+        except oracle.BoundExceededError as exc:
+            if size == 1:
+                raise CliError(str(exc))
+            if fmt == "json":
                 skipped.append([m, n])
                 continue
+            row = f"{m},{n},,\n" if fmt == "csv" else f"{m} {n}: SKIP ({exc})\n"
+        else:
+            checked += 1
             total_mismatches += len(r.mismatches)
-            sys.stdout.write(sep + json.dumps(_report_obj(r)))
-            sep = ", "
-        tail = f', "skipped": {json.dumps(skipped)}' if skipped else ""
-        print(f'], "total_mismatches": {total_mismatches}{tail}}}')
-    elif args.format == "csv":
-        print("m,n,subgroups,mismatches")
-        for m, n, r in checked:
-            if r is None:
-                print(f"{m},{n},,")
-                continue
-            total_mismatches += len(r.mismatches)
-            print(f"{m},{n},{r.subgroup_count},{len(r.mismatches)}")
-    elif single:
-        [(_, _, r)] = checked
-        total_mismatches = len(r.mismatches)
-        print(f"{'OK' if r.ok else 'FAIL'}, {r.subgroup_count} subgroups, "
-              f"{total_mismatches} mismatches")
-        _print_mismatches(r)
-    else:
-        pairs_checked = pairs_skipped = 0
-        for m, n, r in checked:
-            if r is None:
-                pairs_skipped += 1
-                print(f"{m} {n}: SKIP (m*n = {m * n} exceeds bound {bound})")
-                continue
-            pairs_checked += 1
-            total_mismatches += len(r.mismatches)
-            print(f"{m} {n}: {'OK' if r.ok else 'FAIL'} ({r.subgroup_count} subgroups)")
-            _print_mismatches(r)
-        skip_note = f"{pairs_skipped} skipped, " if pairs_skipped else ""
-        print(f"{pairs_checked} pairs checked, {skip_note}{total_mismatches} mismatches")
+            if fmt == "json":
+                mismatches = [dict(zip(("side", "key", "expected", "actual"), x))
+                              for x in r.mismatches]
+                row = json.dumps({"ambient": [m, n], "subgroups": r.subgroup_count,
+                                  "mismatches": mismatches})
+            elif fmt == "csv":
+                row = f"{m},{n},{r.subgroup_count},{len(r.mismatches)}\n"
+            else:
+                status = "OK" if r.ok else "FAIL"
+                row = (f"{status}, {r.subgroup_count} subgroups, "
+                       f"{len(r.mismatches)} mismatches\n" if size == 1 else
+                       f"{m} {n}: {status} ({r.subgroup_count} subgroups)\n")
+                row += "".join(f"  mismatch {side} key={key}: oracle={exp} formula={act}\n"
+                               for side, key, exp, act in r.mismatches)
+        write(head + row)
+        head = ", " if fmt == "json" else ""
 
+    if fmt == "json":
+        tail = f', "skipped": {json.dumps(skipped)}' if skipped else ""
+        write(f'], "total_mismatches": {total_mismatches}{tail}}}\n')
+    elif fmt == "plain" and size > 1:
+        skip_note = f"{size - checked} skipped, " if checked < size else ""
+        write(f"{checked} pairs checked, {skip_note}{total_mismatches} mismatches\n")
     return EXIT_OK if total_mismatches == 0 else EXIT_MISMATCH
 
 

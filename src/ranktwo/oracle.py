@@ -6,14 +6,19 @@ generator, then forms C1 + C2 for every pair where neither contains the
 other, as the cosets C1 + k*g2 up to the first multiple of g2 inside C1.
 `classify` proves a set closed by growing a greedy span inside it: each point
 not yet spanned adds the cosets of the span along its multiples, and a point
-outside the set refutes closure at once.  No results from the tuple
-enumeration or the closed-form counters are used here.
+outside the set refutes closure at once.  Neither uses any result of the
+tuple enumeration or the closed-form counters.
+
+`cross_check` classifies the brute-force subgroups into one table of facts
+(total, by order, by type, cyclic) and diffs it key by key against the same
+table from the paper's divisor sums and from `build_table`, then compares
+the subgroups themselves with the tuple enumeration's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .counting import (
     TypeKey,
@@ -37,11 +42,12 @@ class BoundExceededError(ValueError):
     """The ambient group is too large for brute-force enumeration."""
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
+    """One pair's cross-check: each mismatch is (side, key, oracle, other)."""
+
     ambient: tuple[int, int]
     subgroup_count: int
-    mismatches: list[tuple[str, object, object, object]] = field(default_factory=list)
+    mismatches: list[tuple[str, object, object, object]]
 
     @property
     def ok(self) -> bool:
@@ -143,7 +149,15 @@ def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
 
 
 def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
-    """Compare brute force against the tuple enumeration, every counter and build_table."""
+    """Diff brute force's counts against the paper's and build_table's, and
+    its subgroups against the tuple enumeration's.
+
+    Each side gives four facts, total, by order, by type and cyclic, as
+    dicts; a scalar sits under the key None.  The oracle and paper sides
+    hold no zero counts.  Each fact is compared over the union of both
+    sides' keys, so a key on one side only, even with a count of 0, is a
+    mismatch with None on the other.
+    """
     brute = brute_subgroups(m, n, bound)
 
     by_order: dict[int, int] = {}
@@ -153,57 +167,38 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
         by_order[order] = by_order.get(order, 0) + 1
         by_type[key] = by_type.get(key, 0) + 1
     cyclic = sum(cnt for key, cnt in by_type.items() if key.A == 1)
+    oracle_facts = ({None: len(brute)}, by_order, by_type, {None: cyclic})
 
-    report = OracleReport(ambient=(m, n), subgroup_count=len(brute))
-
-    def mismatch(side, key, expected, actual):
-        # verify prints a key with str(); a TypeKey would print as
-        # TypeKey(A=.., B=..), so type keys are reported as plain (A, B)
-        if isinstance(key, TypeKey):
-            key = tuple(key)
-        report.mismatches.append((side, key, expected, actual))
-
-    total = count_total(m, n)
-    if total != len(brute):
-        mismatch("total", None, len(brute), total)
-
-    for delta in divisors(m * n):
-        expected = by_order.get(delta, 0)
-        actual = count_by_order(m, n, delta)
-        if expected != actual:
-            mismatch("by_order", delta, expected, actual)
-
-    type_keys = set(by_type)
-    for A in divisors(gcd(m, n)):
-        for B in divisors(m * n // A):
-            if B % A == 0:
-                type_keys.add(TypeKey(A, B))
-    for key in sorted(type_keys):
-        expected = by_type.get(key, 0)
-        actual = count_by_type(m, n, key)
-        if expected != actual:
-            mismatch("by_type", key, expected, actual)
-
-    actual_cyclic = count_cyclic(m, n)
-    if cyclic != actual_cyclic:
-        mismatch("cyclic", None, cyclic, actual_cyclic)
-
-    # the per-prime engine behind `table` and `count`, compared as whole tables
+    types = (TypeKey(A, B) for A in divisors(gcd(m, n))
+             for B in divisors(m * n // A) if B % A == 0)
+    paper = (
+        {None: count_total(m, n)},
+        {d: cnt for d in divisors(m * n) if (cnt := count_by_order(m, n, d))},
+        {key: cnt for key in types if (cnt := count_by_type(m, n, key))},
+        {None: count_cyclic(m, n)},
+    )
+    # the per-prime engine behind `table` and `count`
     table = build_table(m, n)
-    if table.total != len(brute):
-        mismatch("table_total", None, len(brute), table.total)
-    for side, expected, actual in (("table_by_order", by_order, table.by_order),
-                                   ("table_by_type", by_type, table.by_type)):
-        for key in sorted(expected.keys() | actual.keys()):
-            if expected.get(key) != actual.get(key):
-                mismatch(side, key, expected.get(key), actual.get(key))
-    if table.cyclic_total != cyclic:
-        mismatch("table_cyclic", None, cyclic, table.cyclic_total)
+    engine = ({None: table.total}, table.by_order, table.by_type,
+              {None: table.cyclic_total})
+
+    mismatches = []
+    for prefix, facts in (("", paper), ("table_", engine)):
+        for name, expected, actual in zip(("total", "by_order", "by_type", "cyclic"),
+                                          oracle_facts, facts):
+            for key in sorted(expected.keys() | actual.keys()):
+                if expected.get(key) != actual.get(key):
+                    # verify prints a key with str(); a TypeKey would print as
+                    # TypeKey(A=.., B=..), so type keys are reported as plain (A, B)
+                    shown = tuple(key) if isinstance(key, TypeKey) else key
+                    mismatches.append((prefix + name, shown, expected.get(key),
+                                       actual.get(key)))
 
     enumerated = {materialize(m, n, t) for t in enumerate_tuples(m, n)}
     if enumerated != brute:
         missing = sorted(len(s) for s in brute - enumerated)
         extra = sorted(len(s) for s in enumerated - brute)
-        mismatch("element_sets", None, f"missing orders {missing}", f"extra orders {extra}")
+        mismatches.append(("element_sets", None, f"missing orders {missing}",
+                           f"extra orders {extra}"))
 
-    return report
+    return OracleReport((m, n), len(brute), mismatches)

@@ -474,12 +474,13 @@ def run_refused(capsys, *argv):
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-@pytest.mark.parametrize("m, size", [
-    (LARGEST_64_BIT_PRIME, str(LARGEST_64_BIT_PRIME + 3)),
-    (2**63, "at least 2^64"),  # count_subgroups overflows
-], ids=["64-bit-prime-square", "past-2^64-subgroups"])
-def test_enumerate_without_limit_refuses_a_huge_listing(capsys, fmt, m, size):
-    code, err = run_refused(capsys, "enumerate", str(m), str(m), "--format", fmt)
+@pytest.mark.parametrize("m, size, limit", [
+    (LARGEST_64_BIT_PRIME, str(LARGEST_64_BIT_PRIME + 3), []),
+    (2**63, "at least 2^64", []),  # count_subgroups overflows
+    (LARGEST_64_BIT_PRIME, str(LARGEST_64_BIT_PRIME + 3), ["--limit", str(2**63 - 1)]),
+], ids=["64-bit-prime-square", "past-2^64-subgroups", "64-bit-prime-square-limit-2^63-1"])
+def test_enumerate_without_limit_refuses_a_huge_listing(capsys, fmt, m, size, limit):
+    code, err = run_refused(capsys, "enumerate", str(m), str(m), *limit, "--format", fmt)
     assert code == 2
     assert f"has {size} subgroups" in err and "--limit" in err
 
@@ -493,7 +494,10 @@ def test_enumerate_record_cap_is_inclusive(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "12", "18")
     assert (code, out) == (2, "")
     assert "has 80 subgroups, more than the 79" in err
-    assert run(capsys, "enumerate", "12", "18", "--limit", "80") == (0, golden, "")
+    first_79 = "".join(golden.splitlines(True)[:79])
+    assert run(capsys, "enumerate", "12", "18", "--limit", "79") == (0, first_79, "")
+    code, out, err = run(capsys, "enumerate", "12", "18", "--limit", "80")
+    assert (code, out) == (2, "")
 
 
 # --- figure ----------------------------------------------------------------
@@ -563,11 +567,13 @@ def test_figure_rejects_oversized_grid(capsys):
 
 # --- verify ----------------------------------------------------------------
 
-def test_verify_golden(capsys):
-    code, out, _ = run(capsys, "verify", "12", "18")
+@pytest.mark.parametrize("fmt, ext", [("plain", "txt"), ("json", "json"), ("csv", "csv")])
+def test_verify_golden(capsys, fmt, ext):
+    code, out, _ = run(capsys, "verify", "12", "18", "--format", fmt)
     assert code == 0
-    assert out == (GOLDEN / "verify_12_18.txt").read_text()
-    assert out == "OK, 80 subgroups, 0 mismatches\n"
+    assert out == (GOLDEN / f"verify_12_18.{ext}").read_text()
+    if fmt == "plain":
+        assert out == "OK, 80 subgroups, 0 mismatches\n"
 
 
 def test_verify_trivial(capsys):
@@ -828,6 +834,8 @@ def test_shared_parser_leaks_nothing_between_calls(capsys):
         (["verify", "--range", "1", "2"],
          "1 1: OK (1 subgroups)\n1 2: OK (2 subgroups)\n2 pairs checked, 0 mismatches\n"),
         (["verify", "12", "18"], "OK, 80 subgroups, 0 mismatches\n"),
+        # a one-pair sweep prints the single-pair form
+        (["verify", "--range", "1", "1"], "OK, 1 subgroups, 0 mismatches\n"),
         (["enumerate", "12", "18", "--limit", "1"], golden_enum.splitlines(True)[0]),
         (["enumerate", "12", "18"], golden_enum),
         (["count", "12", "18", "--format", "json"],

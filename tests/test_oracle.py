@@ -169,6 +169,23 @@ def test_cross_check_flags_a_wrong_table(monkeypatch):
     assert ("table_by_order", 2, 3, 4) in report.mismatches
     assert ("table_cyclic", None, 48, 0) in report.mismatches
 
+    # a zero-count row, which build_table never produces, is still a row:
+    # Z_12 x Z_18 has no element of order 5
+    def with_a_zero_row(m, n):
+        table = build_table(m, n)
+        return dataclasses.replace(table, by_type={**table.by_type, TypeKey(1, 5): 0})
+
+    monkeypatch.setattr(oracle, "build_table", with_a_zero_row)
+    assert cross_check(12, 18).mismatches == [("table_by_type", (1, 5), None, 0)]
+
+    # a paper-side count for a type the oracle lacks: Z_216 is a candidate
+    # type (216 divides 12 * 18), but Z_12 x Z_18 has exponent 36
+    count_by_type = oracle.count_by_type
+    monkeypatch.setattr(oracle, "build_table", build_table)
+    monkeypatch.setattr(oracle, "count_by_type",
+                        lambda m, n, key: count_by_type(m, n, key) + 7 * (key == (1, 216)))
+    assert cross_check(12, 18).mismatches == [("by_type", (1, 216), None, 7)]
+
 
 def test_oracle_equals_enumeration_up_to_256():
     for m in range(1, 257):
