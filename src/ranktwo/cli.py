@@ -7,8 +7,9 @@ error, 3 verification mismatch.
 Every number argument passes `_positive`, which refuses a value below 1 or
 past 64 bits before any output.  Every value written is an int or a fixed
 token, so output is f-string rows that need no quoting, written as they
-go; `json.dumps` writes only the small count and figure documents and
-verify's reports, whose mismatch text needs escaping.
+go (by table and enumerate in batches of BATCH_ROWS); `json.dumps` writes
+only the small count and figure documents and verify's reports, whose
+mismatch text needs escaping.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def _parse_type(spec: str) -> TypeKey:
     return TypeKey(_positive(parts[0], "A"), _positive(parts[1], "B"))
 
 
+# Rows are written with one write per BATCH_ROWS of them, not one per row:
+# the 295,251 rows of `table 3491888400 3491888400` take 145 writes, and
+# only one batch is held as text at a time.
+BATCH_ROWS = 2048
+
+
+def _write_batches(rows) -> None:
+    while batch := "".join(itertools.islice(rows, BATCH_ROWS)):
+        sys.stdout.write(batch)
+
+
 # --- count ---------------------------------------------------------------
 
 def cmd_count(args) -> int:
@@ -79,9 +91,6 @@ def cmd_count(args) -> int:
 
 
 # --- table ---------------------------------------------------------------
-
-TABLE_BATCH_ROWS = 2048
-
 
 def _table_lines(table: counting.SubgroupTable, fmt: str):
     """The table's output in fmt, one row at a time.  A json document is a
@@ -123,19 +132,14 @@ def cmd_table(args) -> int:
     n = _positive(args.n, "n")
     # the whole table is built, and any refusal raised, before the first write
     table = counting.build_table(m, n)
-    rows = _table_lines(table, args.format)
-    # one write per batch of rows, not per row: the 295,251 rows of
-    # `table 3491888400 3491888400` take 145 writes, and only one batch is
-    # held as text at a time
-    while batch := "".join(itertools.islice(rows, TABLE_BATCH_ROWS)):
-        sys.stdout.write(batch)
+    _write_batches(_table_lines(table, args.format))
     return EXIT_OK
 
 
 # --- enumerate -----------------------------------------------------------
 
 # A listing past this many records, with or without --limit, is refused up
-# front.  At about 0.5 M records/s (2-vCPU x86, Python 3.11) that is about 20 s.
+# front.  At about 1 M records/s (2-vCPU x86, Python 3.11) that is about 10 s.
 MAX_RECORDS = 10**7
 
 
@@ -159,14 +163,15 @@ def _csv_block(a, b, c, d, order, v, u, g1x, g2y):
             f",0,{g2y}\n")
 
 
-def _records(m: int, n: int, block_text):
-    """Each enumerate record, in enumerate_tuples order.  block_text gives a
-    block's fixed text before l, after l and after the first generator's y;
-    _blocks yields only valid blocks, so no record needs describe's check."""
-    for a, b, c, d, e in goursat._blocks(m, n):
+def _records(m: int, n: int, block_text, limit: int):
+    """Each enumerate record, in enumerate_tuples order, for a caller that
+    takes at most limit of them.  block_text gives a block's fixed text
+    before l, after l and after the first generator's y; _blocks yields only
+    valid blocks, so no record needs describe's check."""
+    for a, b, c, d, units in goursat._blocks(m, n, limit):
         order, v, u, g1x, ystep, g2y = goursat._block_facts(m, n, a, b, c, d)
         pre, mid, post = block_text(a, b, c, d, order, v, u, g1x, g2y)
-        for ell in goursat._units(e):
+        for ell in units:
             yield f"{pre}{ell}{mid}{ell * ystep % n}{post}"
 
 
@@ -191,22 +196,16 @@ def cmd_enumerate(args) -> int:
                            f"pass --limit N with N <= {MAX_RECORDS}")
     block_text = {"plain": _plain_block, "json": _json_block,
                   "csv": _csv_block}[args.format]
-    records = itertools.islice(_records(m, n, block_text), limit)
-    write = sys.stdout.write
-
+    records = itertools.islice(_records(m, n, block_text, limit), limit)
     if args.format == "json":
-        write(f'{{"ambient": [{m}, {n}], "subgroups": [')
-        first = next(records, None)
-        if first is not None:
-            # every json record opens with its ", " separator but the first
-            write(first[2:])
-            sys.stdout.writelines(records)
-        write("]}\n")
-    else:
-        if args.format == "csv":
-            write("a,b,c,d,ell,order,exponent,inv_u,inv_v,cyclic,"
-                  "gen1_x,gen1_y,gen2_x,gen2_y\n")
-        sys.stdout.writelines(records)
+        # every json record opens with its ", " separator but the first
+        first = next(records, "")[2:]
+        records = itertools.chain((f'{{"ambient": [{m}, {n}], "subgroups": [', first),
+                                  records, ("]}\n",))
+    elif args.format == "csv":
+        records = itertools.chain(("a,b,c,d,ell,order,exponent,inv_u,inv_v,cyclic,"
+                                   "gen1_x,gen1_y,gen2_x,gen2_y\n",), records)
+    _write_batches(records)
     return EXIT_OK
 
 

@@ -6,19 +6,24 @@ This module enumerates those tuples, materializes the subgroup each one
 names, classifies it (order, exponent, invariant factors, cyclicity), and
 inverts the correspondence for an explicitly given subgroup.
 
-The tuples are walked one block at a time.  A block is one (a, b, c, d),
-found by a single divisor walk over a | m, b | a and c | n that keeps each
-c divisible by e = a/b; its tuples are the (a, b, c, d, l) with l a unit
-mod e.  The subgroup's order a*d and its invariant factors gcd(b, d) and
-lcm(a, c) depend only on the block, as does every generator coordinate
-except the first generator's y = l*n/c mod n, so a caller that lists many
-tuples computes them once per block.
+The tuples are walked one block at a time.  A block is one (a, b, c, d):
+the walk takes a | m and b | a, skips the pair when e = a/b does not divide
+n, and otherwise takes c = e*d for each d | n/e, so c ascends.  A block's
+tuples are the (a, b, c, d, l) with l a unit mod e.  The units of e are
+listed once per (a, b), up to UNITS_HEAD of them, and that head serves
+every block of the pair; any further units are produced lazily, so e may
+be a 64-bit prime and memory holds one head at a time.  The subgroup's
+order a*d and its invariant factors gcd(b, d) and lcm(a, c) depend only on
+the block, as does every generator coordinate except the first generator's
+y = l*n/c mod n, so a caller that lists many tuples computes them once per
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import chain, islice
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import check_nat, divisors
@@ -107,29 +112,48 @@ def check_membership(m: int, n: int, t: GoursatTuple) -> None:
     assert gcd(b, d) * lcm(a, c) == a * d
 
 
-def _blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Yield (a, b, c, d, e) for a | m, b | a, c | n with e = a/b dividing c
-    and d = c/e, lexicographic in (a, b, c).  The tuples of a block are its
-    (a, b, c, d, l) with l one of _units(e)."""
+# The walk lists the units mod e = a/b once per (a, b), up to this many; the
+# list is the head shared by every block of that (a, b).  Past a full head
+# (e a 64-bit prime, say) the units follow lazily, block by block.
+UNITS_HEAD = 2048
+
+
+def _units(e: int, start: int = 1) -> Iterator[int]:
+    """The l in start..e coprime to e, ascending.  Lazy: e may be a 64-bit prime."""
+    return (ell for ell in range(start, e + 1) if gcd(ell, e) == 1)
+
+
+def _blocks(
+    m: int, n: int, limit: int | None = None
+) -> Iterator[tuple[int, int, int, int, Iterable[int]]]:
+    """Yield (a, b, c, d, units) for a | m, b | a with e = a/b dividing n,
+    and c = e*d for d | n/e, lexicographic in (a, b, c).  units iterates the
+    block's l, the units mod e ascending: the head of (a, b), then the rest
+    from _units.  A caller that takes at most limit records, each block whole
+    before the next, gets no head longer than the records it has left."""
+    left = inf if limit is None else limit
     for a in divisors(m):
         for b in divisors(a):
             e = a // b
-            for c in divisors(n):
-                if c % e == 0:
-                    yield a, b, c, c // e, e
-
-
-def _units(e: int) -> Iterator[int]:
-    """The l in 1..e coprime to e, ascending.  Lazy: e may be a 64-bit prime."""
-    return (ell for ell in range(1, e + 1) if gcd(ell, e) == 1)
+            if n % e:
+                continue
+            cap = min(UNITS_HEAD, left)
+            head = list(islice(_units(e), cap))
+            # a head shorter than cap holds every unit; after a full one the
+            # rest follow lazily, in each block
+            more = len(head) == cap
+            for d in divisors(n // e):
+                units = chain(head, _units(e, head[-1] + 1)) if more else head
+                yield a, b, e * d, d, units
+                left -= len(head)  # the block had at least len(head) records
 
 
 def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:
     """Yield every valid tuple for Z_m x Z_n, lexicographic in (a,b,c,d,ell)."""
     check_nat(m, "m")
     check_nat(n, "n")
-    for a, b, c, d, e in _blocks(m, n):
-        for ell in _units(e):
+    for a, b, c, d, units in _blocks(m, n):
+        for ell in units:
             yield GoursatTuple(a, b, c, d, ell)
 
 

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ranktwo import arith, build_table, cli, describe, enumerate_tuples
+from ranktwo import arith, build_table, cli, describe, enumerate_tuples, goursat
 from ranktwo.cli import main
 from ranktwo.oracle import MAX_BOUND
 
@@ -373,12 +375,20 @@ def limits_ending_in_and_at_blocks(m, n):
     return [inside[0], inside[-1], at_end[0], at_end[-1]]
 
 
+LARGEST_64_BIT_PRIME = 18446744073709551557
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 @pytest.mark.parametrize("m, n, limit", [(1, 1, None), (2, 2, None), (12, 18, None),
                                          (36, 48, None), (1, 1, 0), (2, 2, 3),
                                          (12, 18, 17), (36, 48, 100000), (720, 720, 500),
                                          (720, 720, None)]
-                         + [(36, 48, k) for k in limits_ending_in_and_at_blocks(36, 48)])
+                         + [(36, 48, k) for k in limits_ending_in_and_at_blocks(36, 48)]
+                         # output batches end at and around BATCH_ROWS rows
+                         + [(720, 720, cli.BATCH_ROWS + k) for k in (-1, 0, 1)]
+                         # past the listed units head of the block a/b = p
+                         + [(LARGEST_64_BIT_PRIME, LARGEST_64_BIT_PRIME,
+                             goursat.UNITS_HEAD + 100)])
 def test_enumerate_matches_the_validating_renderer(capsys, fmt, m, n, limit):
     argv = ["enumerate", str(m), str(n), "--format", fmt]
     if limit is not None:
@@ -389,8 +399,6 @@ def test_enumerate_matches_the_validating_renderer(capsys, fmt, m, n, limit):
 
 
 # --- reach: 64-bit primes and semiprimes ------------------------------------------
-
-LARGEST_64_BIT_PRIME = 18446744073709551557
 
 
 def run_cold_within_a_second(capsys, *argv):
@@ -451,6 +459,24 @@ def test_enumerate_64_bit_prime_square_stays_lazy(capsys, fmt):
                   for line in out.splitlines()]
     assert len(tuples) == 5
     assert tuples[2:] == [[p, 1, p, 1, ell] for ell in (1, 2, 3)]
+
+
+def test_enumerate_lists_no_more_units_than_its_limit(capsys, monkeypatch):
+    # the units head of a block is cut to the records --limit has left: after
+    # the two a/b = 1 records, the block a/b = p lists only l = 1, 2, 3
+    drawn = []
+    units = goursat._units
+
+    def counted(e, start=1):
+        for ell in units(e, start):
+            drawn.append(ell)
+            yield ell
+
+    monkeypatch.setattr(goursat, "_units", counted)
+    p = LARGEST_64_BIT_PRIME
+    code, out, _ = run(capsys, "enumerate", str(p), str(p), "--limit", "5")
+    assert (code, len(out.splitlines())) == (0, 5)
+    assert drawn == [1, 1, 2, 3]
 
 
 class _NoWrites:
@@ -811,6 +837,65 @@ def test_a_number_past_64_bits_is_refused_before_any_output(capsys, argv):
     assert code == 2
     assert out == ""
     assert "exceeds 64-bit range" in err
+
+
+# --- random argv -------------------------------------------------------------
+
+EDGE_VALUES = st.sampled_from([-1, 0, 1, 2, 2**63 - 1, 2**63, 2**63 + 1,
+                               2**64 - 1, 2**64, 2**64 + 1]).map(str)
+JUNK = st.sampled_from(["", "x", "1.5", "0x10", "1e3", "-", "--", ",", "7,", "2,3,4"])
+VALUES = st.one_of(st.integers(1, 12).map(str), st.integers(-2, 40).map(str),
+                   EDGE_VALUES, JUNK)
+FILTERS = st.lists(st.one_of(
+    st.tuples(st.just("--order"), VALUES),
+    st.tuples(st.just("--type"), st.one_of(st.builds("{},{}".format, VALUES, VALUES), VALUES)),
+    st.just(("--cyclic",)),
+), max_size=3)
+FORMATS = st.sampled_from([[], ["--format", "plain"], ["--format", "json"],
+                           ["--format", "csv"], ["--format", "xml"]])
+
+
+@st.composite
+def argvs(draw):
+    """An argv that any of the five commands may get, kept to requests that
+    finish in milliseconds: enumerate always has --limit <= 1000, and verify
+    a --bound or --range of a few dozen pairs."""
+    command = draw(st.sampled_from(["count", "table", "enumerate", "verify", "figure"]))
+    if command == "count":
+        argv = ["count", draw(VALUES), draw(VALUES)]
+        argv += [word for flag in draw(FILTERS) for word in flag]
+    elif command == "table":
+        argv = ["table", draw(VALUES), draw(VALUES)]
+    elif command == "enumerate":
+        argv = ["enumerate", draw(VALUES), draw(VALUES),
+                "--limit", str(draw(st.integers(-2, 1000)))]
+    elif command == "figure":
+        # seven arguments: mostly small ones, so that many draws reach the tuple
+        argv = ["figure"] + [draw(st.one_of(st.integers(1, 12).map(str), VALUES))
+                             for _ in range(7)]
+    else:
+        small = st.one_of(st.integers(-1, 8).map(str), EDGE_VALUES, JUNK)
+        pair = draw(st.sampled_from(["pair", "range", "both"]))
+        argv = ["verify"]
+        argv += [draw(VALUES), draw(VALUES)] if pair != "range" else []
+        argv += ["--range", draw(small), draw(small)] if pair != "pair" else []
+        argv += ["--bound", str(draw(st.integers(-1, 64)))]
+    return argv + draw(FORMATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

@@ -148,12 +148,37 @@ def _birkhoff_pairs(seed: int, count: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def test_build_table_matches_birkhoffs_formula():
+def _load_reference():
     pytest.importorskip("sympy")
     # bench/reference.py imports only sympy and the standard library
     spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
+    return reference
+
+
+def test_local_table_matches_birkhoffs_formula():
+    reference = _load_reference()
+    rng = random.Random(20123)
+    for p in (2, 3, 2**31 - 1, 2**32 - 5):
+        top = 0  # the largest alpha + beta with p^(alpha + beta) < 2^64
+        while p ** (top + 1) < 2**64:
+            top += 1
+        pairs = [(alpha, s - alpha) for s in range(top + 1) for alpha in range(s + 1)]
+        sample = {(top, 0), (0, top), (top // 2, top - top // 2)}
+        sample |= set(rng.sample(pairs, min(24, len(pairs))))
+        for alpha, beta in sorted(sample):
+            by_type = {}
+            for (c, i, j), cnt in local_table(p, alpha, beta).items():
+                assert c == i + j, (p, alpha, beta)
+                by_type[p**i, p**j] = by_type.get((p**i, p**j), 0) + cnt
+            expected = reference.local_types(p, alpha, beta)
+            assert by_type == {key: cnt for key, cnt in expected.items() if cnt}, \
+                (p, alpha, beta)
+
+
+def test_build_table_matches_birkhoffs_formula():
+    reference = _load_reference()
     pairs = _birkhoff_pairs(20121, 300)
     # the sample reaches both large primes and an exponent of 20
     assert any(math.prod(pair) % (2**31 - 1) == 0 for pair in pairs)

@@ -1,5 +1,6 @@
 """Tests for tuple enumeration, materialization, and classification."""
 
+import itertools
 import math
 import random
 import time
@@ -15,7 +16,12 @@ from ranktwo import (
     find_tuple,
     materialize,
 )
-from ranktwo.goursat import NotASubgroupError, TupleMembershipError, check_membership
+from ranktwo.goursat import (
+    UNITS_HEAD,
+    NotASubgroupError,
+    TupleMembershipError,
+    check_membership,
+)
 from ranktwo.oracle import brute_subgroups
 
 from paper_forms import offset_form
@@ -68,6 +74,39 @@ def test_enumerate_is_lexicographic():
         tuples = list(enumerate_tuples(m, n))
         assert tuples == sorted(tuples)
         assert len(tuples) == len(set(tuples))
+
+
+def plain_divisors(k):
+    return [x for x in range(1, k + 1) if k % x == 0]
+
+
+def filter_walk(m, n):
+    """Every tuple by the definition alone: a | m, b | a, c | n with e = a/b
+    dividing c, d = c/e and l in 1..e coprime to e, in lexicographic order."""
+    for a in plain_divisors(m):
+        for b in plain_divisors(a):
+            e = a // b
+            for c in plain_divisors(n):
+                if c % e == 0:
+                    for ell in range(1, e + 1):
+                        if math.gcd(ell, e) == 1:
+                            yield GoursatTuple(a, b, c, c // e, ell)
+
+
+def test_enumerate_equals_the_filter_walk_up_to_60():
+    for m in range(1, 61):
+        for n in range(1, 61):
+            assert list(enumerate_tuples(m, n)) == list(filter_walk(m, n)), (m, n)
+
+
+def test_enumerate_runs_past_the_units_head_of_a_64_bit_prime():
+    # Z_p x Z_p lists (1,1,1,1,1), (1,1,p,p,1), then the block (p,1,p,1) whose
+    # every l in 1..p-1 is a unit, UNITS_HEAD of them listed and the rest lazy
+    p = 18446744073709551557
+    count = UNITS_HEAD + 100
+    tuples = list(itertools.islice(enumerate_tuples(p, p), count))
+    assert tuples[:2] == [GoursatTuple(1, 1, 1, 1, 1), GoursatTuple(1, 1, p, p, 1)]
+    assert tuples[2:] == [GoursatTuple(p, 1, p, 1, ell) for ell in range(1, count - 1)]
 
 
 def test_goursat_tuple_prints_and_orders_as_before():
