@@ -7,9 +7,9 @@ error, 3 verification mismatch.
 Every number argument passes `_positive`, which refuses a value below 1 or
 past 64 bits before any output.  Every value written is an int or a fixed
 token, so output is f-string rows that need no quoting, written as they
-go (by table and enumerate in batches of BATCH_ROWS); `json.dumps` writes
-only the small count and figure documents and verify's reports, whose
-mismatch text needs escaping.
+go (by table and enumerate in batches of BATCH_ROWS).  Only verify's
+reports, whose mismatch text needs escaping, are written by `json.dumps`;
+verify imports `json` itself, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import signal
 import sys
 
@@ -71,18 +70,18 @@ def cmd_count(args) -> int:
     order = key = None
     if args.order is not None:
         order = _positive(args.order, "order")
-        label = {"order": order}
+        label = f'{{"order": {order}}}'
     elif args.type is not None:
         key = _parse_type(args.type)
-        label = {"type": [key.A, key.B]}
+        label = f'{{"type": [{key.A}, {key.B}]}}'
     elif args.cyclic:
-        label = {"cyclic": True}
+        label = '{"cyclic": true}'
     else:
-        label = {}
+        label = "null"
     value = counting.count_subgroups(m, n, order=order, key=key, cyclic=args.cyclic)
 
     if args.format == "json":
-        print(json.dumps({"ambient": [m, n], "filter": label or None, "count": value}))
+        print(f'{{"ambient": [{m}, {n}], "filter": {label}, "count": {value}}}')
     elif args.format == "csv":
         print(f"count\n{value}")
     else:
@@ -249,11 +248,9 @@ def cmd_figure(args) -> int:
         raise CliError(str(exc))
 
     if args.format == "json":
-        print(json.dumps({
-            "ambient": [m, n],
-            "tuple": [t.a, t.b, t.c, t.d, t.ell],
-            "points": [list(p) for p in s.elements],
-        }))
+        points = ", ".join(f"[{x}, {y}]" for x, y in s.elements)
+        print(f'{{"ambient": [{m}, {n}], "tuple": [{t.a}, {t.b}, {t.c}, {t.d}, {t.ell}], '
+              f'"points": [{points}]}}')
     elif args.format == "csv":
         sys.stdout.write("x,y\n")
         sys.stdout.writelines(f"{x},{y}\n" for x, y in s.elements)
@@ -270,6 +267,8 @@ MAX_RANGE_PAIRS = 10**6
 
 
 def cmd_verify(args) -> int:
+    import json
+
     bound = args.bound
     if not 1 <= bound <= oracle.MAX_BOUND:
         raise CliError(f"--bound must be in 1..{oracle.MAX_BOUND}, got {bound}")

@@ -13,7 +13,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -57,8 +56,7 @@ class TypeKey(_TypeKeyFields):
         return super().__new__(cls, A, B)
 
 
-@dataclass(frozen=True)
-class SubgroupTable:
+class SubgroupTable(NamedTuple):
     ambient: tuple[int, int]
     total: int
     by_order: dict[int, int]

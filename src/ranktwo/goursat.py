@@ -21,7 +21,6 @@ block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator, NamedTuple
@@ -51,8 +50,7 @@ class GoursatTuple(NamedTuple):
         return f"({self.a},{self.b},{self.c},{self.d},{self.ell})"
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
+class SubgroupDescriptor(NamedTuple):
     ambient: tuple[int, int]
     tuple: GoursatTuple
     order: int
@@ -62,12 +60,23 @@ class SubgroupDescriptor:
     generators: tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
 class ElementSet:
-    """An explicit subgroup: sorted, deduplicated (x mod m, y mod n) pairs."""
+    """An explicit subgroup: sorted, deduplicated (x mod m, y mod n) pairs.
+
+    Immutable, since the oracle hashes it into sets.  It equals only another
+    ElementSet with the same ambient and elements, never a plain tuple.
+    """
+
+    __slots__ = ("ambient", "elements")
 
     ambient: tuple[int, int]
     elements: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self, ambient: tuple[int, int], elements: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "elements", elements)
 
     @classmethod
     def from_iterable(
@@ -75,6 +84,28 @@ class ElementSet:
     ) -> "ElementSet":
         pts = sorted({(x % m, y % n) for x, y in points})
         return cls((m, n), tuple(pts))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default would set the
+        # slots one by one, which __setattr__ refuses
+        return ElementSet, (self.ambient, self.elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not ElementSet:
+            return NotImplemented
+        return self.ambient == other.ambient and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.elements))
+
+    def __repr__(self) -> str:
+        return f"ElementSet(ambient={self.ambient!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -35,12 +35,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def spawn(*argv):
-    """The CLI as its own process, started the way the console script starts it."""
+def python(*args):
+    """A fresh interpreter that imports ranktwo from src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen([sys.executable, "-m", "ranktwo.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def spawn(*argv):
+    """The CLI as its own process, started the way the console script starts it."""
+    return python("-m", "ranktwo.cli", *argv)
 
 
 # --- count ---------------------------------------------------------------
@@ -541,6 +546,10 @@ def test_figure_golden(capsys):
      "figure_12_18_6_2_18_6_1.csv"),
     (["count", "12", "18", "--format", "json"], "count_12_18.json"),
     (["count", "12", "18", "--format", "csv"], "count_12_18.csv"),
+    (["count", "12", "18", "--format", "json", "--order", "6"], "count_12_18_order_6.json"),
+    (["count", "12", "18", "--format", "json", "--type", "2,18"],
+     "count_12_18_type_2_18.json"),
+    (["count", "12", "18", "--format", "json", "--cyclic"], "count_12_18_cyclic.json"),
 ])
 def test_format_golden(capsys, argv, name):
     code, out, _ = run(capsys, *argv)
@@ -736,15 +745,13 @@ def test_verify_prints_a_by_type_mismatch_as_a_plain_pair(capsys, monkeypatch, f
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_verify_prints_a_table_by_type_mismatch_as_a_plain_pair(capsys, monkeypatch, fmt):
-    import dataclasses
-
     from ranktwo import TypeKey, build_table, oracle
 
     def skewed(m, n):
         table = build_table(m, n)
         by_type = dict(table.by_type)
         by_type[TypeKey(2, 18)] += 1
-        return dataclasses.replace(table, by_type=by_type)
+        return table._replace(by_type=by_type)
 
     monkeypatch.setattr(oracle, "build_table", skewed)
     code, out, _ = run(capsys, "verify", "12", "18", "--format", fmt)
@@ -948,3 +955,24 @@ def test_a_second_call_builds_no_parser(capsys, monkeypatch):
         assert main(argv) == 0
     capsys.readouterr()
     assert built == []
+
+
+# --- start-up --------------------------------------------------------------
+
+# The check the CI job runs against the installed package, one line.
+IMPORT_GUARD = ("import sys, ranktwo.cli; "
+                "assert not {'dataclasses', 'inspect', 'json'} & set(sys.modules); "
+                "assert {'ranktwo.goursat', 'ranktwo.oracle'} <= set(sys.modules)")
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # dataclasses pulls in inspect, ast and dis: about 10 ms of every one-shot
+    # call.  verify imports json itself, and still works after the import.
+    proc = python("-c", IMPORT_GUARD + "; sys.exit(ranktwo.cli.main(['verify', '2', '2', "
+                  "'--format', 'json']))")
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+    assert json.loads(out) == {
+        "pairs": [{"ambient": [2, 2], "subgroups": 5, "mismatches": []}],
+        "total_mismatches": 0,
+    }

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ranktwo import (
     GoursatTuple,
+    SubgroupTable,
     TypeKey,
     build_table,
     count_by_order,
@@ -257,6 +258,12 @@ def test_build_table_12_18_matches_published_values():
         TypeKey(6, 6): 1, TypeKey(6, 12): 1, TypeKey(6, 18): 1,
         TypeKey(6, 36): 1,
     }
+
+
+def test_subgroup_table_fields():
+    assert SubgroupTable._fields == (
+        "ambient", "total", "by_order", "by_type", "cyclic_total", "noncyclic_total")
+    assert build_table(12, 18).ambient == (12, 18)
 
 
 def test_build_table_trivial():

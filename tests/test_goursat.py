@@ -1,7 +1,9 @@
 """Tests for tuple enumeration, materialization, and classification."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import time
 
@@ -19,6 +21,7 @@ from ranktwo import (
 from ranktwo.goursat import (
     UNITS_HEAD,
     NotASubgroupError,
+    SubgroupDescriptor,
     TupleMembershipError,
     check_membership,
 )
@@ -211,6 +214,62 @@ def test_materialize_sorted_and_deduplicated():
     for t in enumerate_tuples(6, 4):
         s = materialize(6, 4, t)
         assert list(s.elements) == sorted(set(s.elements))
+
+
+# --- value types ------------------------------------------------------------
+
+def test_element_set_equality_and_hash_ignore_point_order():
+    points = [(0, 0), (2, 3), (0, 3), (2, 0)]
+    s = ElementSet.from_iterable(4, 6, points)
+    t = ElementSet.from_iterable(4, 6, [(6, -3), *reversed(points)])
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t}) == 1
+    assert s.elements == ((0, 0), (0, 3), (2, 0), (2, 3))
+
+
+def test_element_set_is_unequal_across_ambients_and_to_a_tuple():
+    s = ElementSet.from_iterable(2, 2, [(0, 0)])
+    assert s != ElementSet.from_iterable(1, 1, [(0, 0)])
+    assert s != ElementSet.from_iterable(2, 4, [(0, 0)])
+    assert s != ((2, 2), ((0, 0),))
+    assert s != ((0, 0),)
+    assert ((2, 2), ((0, 0),)) != s
+
+
+def test_element_set_len_iter_and_repr():
+    s = ElementSet.from_iterable(2, 2, [(1, 1), (0, 0)])
+    assert len(s) == 2
+    assert list(s) == [(0, 0), (1, 1)]
+    assert repr(s) == "ElementSet(ambient=(2, 2), elements=((0, 0), (1, 1)))"
+
+
+def test_element_set_pickles_and_copies():
+    s = materialize(12, 18, GoursatTuple(6, 2, 18, 6, 1))
+    for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert type(other) is ElementSet
+        assert other == s and hash(other) == hash(s)
+        assert other.ambient == (12, 18) and other.elements == s.elements
+
+
+def test_element_set_refuses_assignment():
+    s = ElementSet.from_iterable(2, 2, [(0, 0)])
+    with pytest.raises(AttributeError):
+        s.elements = ()
+    with pytest.raises(AttributeError):
+        s.ambient = (1, 1)
+    with pytest.raises(AttributeError):
+        del s.elements
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s == ElementSet((2, 2), ((0, 0),))
+
+
+def test_subgroup_descriptor_fields():
+    assert SubgroupDescriptor._fields == (
+        "ambient", "tuple", "order", "exponent", "invariants", "cyclic", "generators")
+    d = describe(12, 18, GoursatTuple(6, 2, 18, 6, 1))
+    assert d.ambient == (12, 18) and d.tuple == GoursatTuple(6, 2, 18, 6, 1)
+    assert d.generators == ((2, 1), (0, 3))
 
 
 # --- offset_form ------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the brute-force oracle and the cross-check machinery."""
 
-import dataclasses
 import math
 import random
 
@@ -161,7 +160,7 @@ def test_cross_check_flags_a_wrong_table(monkeypatch):
         table = build_table(m, n)
         by_order = dict(table.by_order)
         by_order[2] += 1
-        return dataclasses.replace(table, by_order=by_order, cyclic_total=0)
+        return table._replace(by_order=by_order, cyclic_total=0)
 
     monkeypatch.setattr(oracle, "build_table", skewed)
     report = cross_check(12, 18)
@@ -173,7 +172,7 @@ def test_cross_check_flags_a_wrong_table(monkeypatch):
     # Z_12 x Z_18 has no element of order 5
     def with_a_zero_row(m, n):
         table = build_table(m, n)
-        return dataclasses.replace(table, by_type={**table.by_type, TypeKey(1, 5): 0})
+        return table._replace(by_type={**table.by_type, TypeKey(1, 5): 0})
 
     monkeypatch.setattr(oracle, "build_table", with_a_zero_row)
     assert cross_check(12, 18).mismatches == [("table_by_type", (1, 5), None, 0)]
