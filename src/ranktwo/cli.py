@@ -264,6 +264,22 @@ def cmd_figure(args) -> int:
 # A --range sweep covers at most this many pairs, refused up front past it.
 # At about 160k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take 6-7 s.
 MAX_RANGE_PAIRS = 10**6
+# A --range sweep checks at most this much work, the sum of m*n over the
+# pairs within the bound, refused up front past it.  Brute force runs at
+# 2-7 us per unit (2-vCPU x86, Python 3.11), so the largest legal sweep
+# takes about 10 s; --range 48 48 --bound 4096 (1,382,976) is legal and
+# --range 49 49 --bound 4096 (1,500,625) is not.
+MAX_RANGE_WORK = 1_500_000
+
+
+def _range_work(m_max: int, n_max: int, bound: int) -> int:
+    """The sum of m*n over the pairs of 1..m_max x 1..n_max with m*n <= bound:
+    for each m, the n up to k = min(n_max, bound // m)."""
+    work = 0
+    for m in range(1, min(m_max, bound) + 1):
+        k = min(n_max, bound // m)
+        work += m * k * (k + 1) // 2
+    return work
 
 
 def cmd_verify(args) -> int:
@@ -281,6 +297,10 @@ def cmd_verify(args) -> int:
         if size > MAX_RANGE_PAIRS:
             raise CliError(f"--range sweeps at most {MAX_RANGE_PAIRS} pairs, got "
                            f"{m_max} x {n_max} = {size}")
+        work = _range_work(m_max, n_max, bound)
+        if work > MAX_RANGE_WORK:
+            raise CliError(f"--range checks at most {MAX_RANGE_WORK} in the sum of "
+                           f"m*n over the pairs within --bound {bound}, got {work}")
         pairs = itertools.product(range(1, m_max + 1), range(1, n_max + 1))
     elif args.m is None or args.n is None:
         raise CliError("verify needs either m n or --range M N")

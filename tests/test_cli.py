@@ -813,6 +813,33 @@ def test_verify_pair_cap_is_inclusive(capsys, monkeypatch):
     assert "--range sweeps at most 6 pairs, got 7 x 1 = 7" in err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_refuses_a_sweep_past_the_work_budget(capsys, fmt):
+    # the sum of m*n over 1..49 x 1..49 is (49*50/2)^2; every pair is within the bound
+    code, err = run_refused(capsys, "verify", "--range", "49", "49",
+                            "--bound", "4096", "--format", fmt)
+    assert code == 2
+    assert (f"--range checks at most {cli.MAX_RANGE_WORK} in the sum of m*n over "
+            "the pairs within --bound 4096, got 1500625") in err
+
+
+def test_verify_work_budget_is_inclusive(capsys, monkeypatch):
+    for m_max, n_max, bound in [(2, 3, 400), (49, 49, 4096), (1000, 1000, 4096),
+                                (7, 1, 3), (1, 9, 4), (10**6, 1, 4096)]:
+        assert cli._range_work(m_max, n_max, bound) == sum(
+            m * n for m in range(1, min(m_max, bound) + 1)
+            for n in range(1, min(n_max, bound) + 1) if m * n <= bound)
+    monkeypatch.setattr(cli, "MAX_RANGE_WORK", 18)
+    code, out, _ = run(capsys, "verify", "--range", "2", "3")
+    assert (code, out.splitlines()[-1]) == (0, "6 pairs checked, 0 mismatches")
+    # 3 x 3 is 36, but only the 11 of 1 x 1..3, 2 x 1 and 3 x 1 is within --bound 3
+    code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "3")
+    assert (code, out.splitlines()[-1]) == (0, "5 pairs checked, 4 skipped, 0 mismatches")
+    code, out, err = run(capsys, "verify", "--range", "3", "3")
+    assert (code, out) == (2, "")
+    assert "in the sum of m*n over the pairs within --bound 400, got 36" in err
+
+
 # --- every number argument is checked up front --------------------------------
 
 OVER_64_BITS = str(2**64)

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranktwo import (
     ElementSet,
@@ -16,6 +18,7 @@ from ranktwo import (
     enumerate_tuples,
     materialize,
 )
+from ranktwo import oracle
 from ranktwo.oracle import BoundExceededError
 
 
@@ -39,6 +42,32 @@ def test_brute_bound():
         brute_subgroups(25, 25)
     # override works
     assert len(brute_subgroups(5, 5, bound=625)) == count_total(5, 5)
+
+
+@st.composite
+def translations(draw):
+    """A group, a subset of it and a translation; thin groups and a zero
+    coordinate are drawn often."""
+    m, n = draw(st.one_of(
+        st.sampled_from([(1, 1), (1, 9), (9, 1), (1, 4096), (4096, 1), (2, 2048), (2048, 2)]),
+        st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    points = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    pts = draw(st.sets(points, max_size=min(m * n, 300)))
+    tx = draw(st.one_of(st.just(0), st.integers(0, m - 1)))
+    ty = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    return m, n, pts, tx, ty
+
+
+@settings(max_examples=300, deadline=None)
+@given(translations())
+def test_mask_shift_is_the_pointwise_translation(case):
+    m, n, pts, tx, ty = case
+    g = oracle._Grid(m, n)
+    mask = g.encode(pts)
+    assert mask == sum(1 << (x * n + y) for x, y in pts)
+    assert g.decode(mask) == ElementSet.from_iterable(m, n, pts)
+    moved = {((x + tx) % m, (y + ty) % n) for x, y in pts}
+    assert g.shift(mask, tx, ty) == g.encode(moved)
 
 
 def test_classify_trivial():
@@ -184,6 +213,30 @@ def test_cross_check_flags_a_wrong_table(monkeypatch):
     monkeypatch.setattr(oracle, "count_by_type",
                         lambda m, n, key: count_by_type(m, n, key) + 7 * (key == (1, 216)))
     assert cross_check(12, 18).mismatches == [("by_type", (1, 216), None, 7)]
+
+
+def test_cross_check_flags_wrong_element_sets(monkeypatch):
+    # the counts all agree, so only the element sets can show the fault
+    def drop_a_point(m, n, t):
+        s = materialize(m, n, t)
+        if t == GoursatTuple(6, 2, 18, 6, 1):
+            return ElementSet((m, n), s.elements[:-1])
+        return s
+
+    monkeypatch.setattr(oracle, "materialize", drop_a_point)
+    assert cross_check(12, 18).mismatches == [
+        ("element_sets", None, "missing orders [36]", "extra orders [35]")]
+
+    # a wrong subgroup of the right order: {0} x <6> comes back as <4> x {0},
+    # which (3, 3, 1, 1, 1) also names, so nothing is extra
+    def swap_a_subgroup(m, n, t):
+        if t == GoursatTuple(1, 1, 3, 3, 1):
+            t = GoursatTuple(3, 3, 1, 1, 1)
+        return materialize(m, n, t)
+
+    monkeypatch.setattr(oracle, "materialize", swap_a_subgroup)
+    assert cross_check(12, 18).mismatches == [
+        ("element_sets", None, "missing orders [3]", "extra orders []")]
 
 
 def test_oracle_equals_enumeration_up_to_256():
