@@ -21,6 +21,7 @@ block.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, islice
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator, NamedTuple
@@ -63,8 +64,12 @@ class SubgroupDescriptor(NamedTuple):
 class ElementSet:
     """An explicit subgroup: sorted, deduplicated (x mod m, y mod n) pairs.
 
-    Immutable, since the oracle hashes it into sets.  It equals only another
-    ElementSet with the same ambient and elements, never a plain tuple.
+    __init__ takes the elements as given.  materialize and the oracle's
+    _Grid.decode form them reduced, distinct and in order, so they build
+    the set directly; from_iterable reduces, dedupes and sorts any other
+    points.  Immutable, since the oracle hashes it into sets.  It equals
+    only another ElementSet with the same ambient and elements, never a
+    plain tuple.
     """
 
     __slots__ = ("ambient", "elements")
@@ -213,46 +218,47 @@ def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
 
 
 def materialize(m: int, n: int, t: GoursatTuple) -> ElementSet:
-    """The explicit element set {(i*m/a, i*ell*n/c + j*n/d)} mod (m, n)."""
+    """The explicit element set {(i*m/a, i*ell*n/c + j*n/d)} mod (m, n).
+
+    Row i, at x = i*m/a < m, is the coset i*ell*n/c + <n/d> of Z_n, so it is
+    listed from its least member, i*ell*n/c mod n/d, in steps of n/d below n.
+    The a rows come out in ascending x, so the points are reduced, distinct
+    and sorted as formed.
+    """
     check_membership(m, n, t)
     xstep = m // t.a
-    ystep_i = t.ell * (n // t.c)
-    ystep_j = n // t.d
-    points = []
-    for i in range(t.a):
-        x = (i * xstep) % m
-        base = i * ystep_i
-        for j in range(t.d):
-            points.append((x, (base + j * ystep_j) % n))
-    es = ElementSet.from_iterable(m, n, points)
-    assert len(es) == t.a * t.d
-    return es
+    ystep = t.ell * (n // t.c)
+    step = n // t.d
+    return ElementSet((m, n), tuple([(i * xstep, y) for i in range(t.a)
+                                     for y in range(i * ystep % step, n, step)]))
 
 
 def find_tuple(m: int, n: int, s: ElementSet) -> GoursatTuple:
     """Invert materialize: read the unique tuple naming the subgroup s off s.
 
-    a and c are the sizes of the two projections, d the size of the x = 0
-    column and b = a*d/c.  Every element over x = m/a has y = (l + j*a/b)*n/c,
-    which gives l.  One comparison with materialize proves s is a subgroup.
+    In the sorted set the leading x = 0 run is the column <n/d>, so its
+    length is d, and a = |s|/d.  The next point, elements[d], is the least
+    of row x = m/a, y1 = (l mod a/b)*n/c; since gcd(l, a/b) = 1,
+    gcd(y1, n/d) = n/c, which gives c, then b = a*d/c and l.  One comparison
+    with materialize proves s is that subgroup; an unsorted, duplicated or
+    off-ambient s fails it and raises NotASubgroupError.
     """
     check_nat(m, "m")
     check_nat(n, "n")
-    if not s.elements:
-        raise NotASubgroupError("the empty set is not a subgroup")
-    a = len({x for x, _ in s.elements})
-    d = sum(1 for x, _ in s.elements if x == 0)
-    c = len({y for _, y in s.elements})
-    b, rem = divmod(a * d, c)
-    if rem or b < 1 or a % b or n % c:
+    els = s.elements
+    d = bisect_left(els, (1,))  # the x = 0 run, when s is sorted
+    if not d or n % d:
         raise NotASubgroupError(
-            f"projection sizes a = {a}, c = {c} and column size d = {d} "
-            f"fit no subgroup of Z_{m} x Z_{n}"
+            f"an x = 0 column of {d} points fits no subgroup of Z_{m} x Z_{n}"
         )
-    x1 = (m // a) % m
-    y1 = next((y for x, y in s.elements if x == x1), None)
-    if y1 is None:
-        raise NotASubgroupError(f"no element has x = {x1}")
+    a = len(els) // d
+    y1 = els[d][1] if a > 1 else 0
+    c = n // gcd(y1, n // d)
+    b, rem = divmod(a * d, c)
+    if rem:
+        raise NotASubgroupError(
+            f"a = {a} rows of d = {d} points fit no c = {c} in Z_{m} x Z_{n}"
+        )
     t = GoursatTuple(a, b, c, d, (y1 // (n // c) - 1) % (a // b) + 1)
     try:
         if materialize(m, n, t) == s:

@@ -8,6 +8,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranktwo import (
     ElementSet,
@@ -216,6 +218,42 @@ def test_materialize_sorted_and_deduplicated():
         assert list(s.elements) == sorted(set(s.elements))
 
 
+def paper_formula(m, n, t):
+    """The subgroup {(i*m/a, i*l*n/c + j*n/d)}, reduced, deduplicated and sorted."""
+    return ElementSet.from_iterable(m, n, {
+        (i * m // t.a, i * t.ell * n // t.c + j * n // t.d)
+        for i in range(t.a) for j in range(t.d)})
+
+
+def assert_materialize_is_the_paper_formula(m, n, t):
+    s = materialize(m, n, t)
+    assert s == paper_formula(m, n, t)
+    assert all(p < q for p, q in zip(s.elements, s.elements[1:]))
+
+
+def test_materialize_equals_the_paper_formula_up_to_24():
+    # materialize lists each row from its least member and builds the set in
+    # order, with no reduction, set or sort; the formula does all three
+    for m in range(1, 25):
+        for n in range(1, 25):
+            for t in enumerate_tuples(m, n):
+                assert_materialize_is_the_paper_formula(m, n, t)
+
+
+@pytest.mark.parametrize("m, n, tuples", [
+    (1, 4096, None),
+    (4096, 1, None),
+    (64, 64, [GoursatTuple(64, 64, 64, 64, 1)]),
+    # 64-bit ambients with small a and d: 2^64 - 1 = 3*5*17*257*641*65537*6700417
+    (2**64 - 1, 2**64 - 1, [GoursatTuple(15, 3, 15, 3, ell) for ell in (1, 2, 3, 4)]),
+    (2**63, 2**63, [GoursatTuple(8, 2, 8, 2, 3), GoursatTuple(2, 1, 8, 4, 1)]),
+])
+def test_materialize_equals_the_paper_formula_on_edge_shapes(m, n, tuples):
+    # tuples None: every tuple of the group
+    for t in tuples or enumerate_tuples(m, n):
+        assert_materialize_is_the_paper_formula(m, n, t)
+
+
 # --- value types ------------------------------------------------------------
 
 def test_element_set_equality_and_hash_ignore_point_order():
@@ -364,6 +402,49 @@ def test_find_tuple_rejects_a_set_of_another_ambient():
         find_tuple(2, 2, full_4_4)
     with pytest.raises(NotASubgroupError):
         find_tuple(4, 4, materialize(2, 2, GoursatTuple(2, 2, 2, 2, 1)))
+
+
+@st.composite
+def hand_built_sets(draw):
+    """(m, n, t, s): s an ElementSet built through __init__ from the subgroup
+    t names or from random points, then perhaps duplicated, pushed out of
+    range, stripped of (0, 0), unsorted or given another ambient."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    t = draw(st.sampled_from(list(enumerate_tuples(m, n))))
+    size = draw(st.sampled_from([None, 4, 40]))
+    if size is None:
+        pts = list(materialize(m, n, t).elements)
+    else:
+        pts = draw(st.lists(st.tuples(st.integers(-2, m + 1), st.integers(-2, n + 1)),
+                            max_size=size))
+        if draw(st.booleans()):
+            pts = sorted(set(pts))
+    if pts and draw(st.booleans()):
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        pts.append(draw(st.sampled_from([(m, 0), (0, n), (-1, 0), (0, -1), (m, n)])))
+    if draw(st.booleans()):
+        pts = [p for p in pts if p != (0, 0)]
+    if draw(st.booleans()):
+        pts = draw(st.permutations(pts))
+    ambient = (m, n)
+    if draw(st.booleans()):
+        ambient = draw(st.sampled_from([(n, m), (m, 2 * n), (2 * m, n), (1, 1)]))
+    return m, n, t, ElementSet(ambient, tuple(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_sets())
+def test_find_tuple_names_a_hand_built_set_or_refuses_it(case):
+    # any exception but NotASubgroupError fails the property; a set with no
+    # x = 0 point is one way to reach a division by zero
+    m, n, t, s = case
+    try:
+        found = find_tuple(m, n, s)
+    except NotASubgroupError:
+        assert s != materialize(m, n, t)
+    else:
+        assert materialize(m, n, found) == s
 
 
 def test_find_tuple_large_full_groups_are_fast():
