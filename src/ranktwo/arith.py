@@ -3,15 +3,18 @@
 Prime factorization, and from it divisors, Euler's totient, the Mobius
 function and the divisor count; Dirichlet convolution.
 
-Factorization divides out the primes below a small fixed bound, tests what
-is left with deterministic Miller-Rabin over the first twelve prime bases
-2, 3, 5, ..., 37, and splits a composite remainder with Pollard's rho in
-Brent's form.  Those twelve bases admit no strong pseudoprime below
-3.3 * 10^24 (Jaeschke 1993; Sorenson and Webster 2015), so the primality
-test is exact on every 64-bit input; base 37 is needed for that, as
-3825123056546413051 fools all the others.  Rho finds a prime factor p in
-about sqrt(p) steps, so the hardest 64-bit input, a product of two primes
-near 2^32, takes some 10^5 steps.
+Factorization takes one gcd of n with the product of the primes below a
+small fixed bound, divides out just the primes that gcd shows, tests what is
+left with deterministic Miller-Rabin, and splits a composite remainder with
+Pollard's rho in Brent's form.  Miller-Rabin runs the first k prime bases
+2, 3, 5, ..., 37, with k sized to n.  The first k bases are exact below
+psi_k, the least strong pseudoprime to all of them (OEIS A014233; Jaeschke
+1993; Jiang and Deng 2014; Sorenson and Webster 2015).  All twelve are run
+from psi_9 = 3825123056546413051 up, which fools every base below 37, and
+psi_12 = 318665857834031151167461 (about 3.2 * 10^23) is past 2^64, so the
+test is exact on every 64-bit input.  Rho finds a prime factor p in about
+sqrt(p) steps, so the hardest 64-bit input, a product of two primes near
+2^32, takes some 10^5 steps.
 
 All inputs are positive integers in 64-bit range.  Zero and negative inputs
 are rejected, and any product that would leave the 64-bit range raises
@@ -22,16 +25,47 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, count
-from math import gcd
+from itertools import compress, count
+from math import gcd, prod
 from typing import Callable
 
 U64_MAX = 2**64 - 1
 
-# Trial division tries 2 and the odd numbers below this bound, so a remainder
-# below its square is prime.
+# Every prime below this bound is divided out first, so a remainder below its
+# square is prime.
 _TRIAL_BOUND = 1000
+
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    p = 2
+    while p * p < n:
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+        p += 1
+    return list(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+_PRIMORIAL = prod(_SMALL_PRIMES)
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k bases of _MR_BASES are exact below psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233).  psi_8 = psi_7 and
+# psi_11 = psi_10 = psi_9, so those k are skipped; all twelve bases are run
+# from psi_9 up.
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 ArithmeticFn = Callable[[int], int]
 
@@ -76,12 +110,17 @@ def divisors(n: int) -> list[int]:
 
 
 def _is_prime_large(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n > 37."""
+    """Deterministic Miller-Rabin for odd n > 37, on as many bases as n needs."""
+    k = len(_MR_BASES)
+    for psi, bases in _MR_TIERS:
+        if n < psi:
+            k = bases
+            break
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -137,10 +176,12 @@ def _large_prime_factors(n: int) -> list[int]:
 @lru_cache(maxsize=65536)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     pairs = []
-    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
-        if p * p > n:
+    g = gcd(n, _PRIMORIAL)  # the product of n's primes below _TRIAL_BOUND
+    for p in _SMALL_PRIMES:
+        if g == 1:
             break
-        if n % p == 0:
+        if g % p == 0:
+            g //= p
             e = 0
             while n % p == 0:
                 n //= p
@@ -155,8 +196,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs, primes increasing.
 
     Returns the empty list for n = 1.  Exact and deterministic for every
-    64-bit input: trial division below a small bound, Miller-Rabin over the
-    first twelve prime bases, Pollard-Brent rho for composite remainders.
+    64-bit input: one gcd with the primorial of a small bound, Miller-Rabin
+    on as many prime bases as n needs, Pollard-Brent rho for composite
+    remainders.
     """
     check_nat(n)
     return list(_factorize(n))

@@ -234,11 +234,116 @@ def test_kernel_matches_sympy(make_inputs):
 
 def test_miller_rabin_bases_are_exact_for_64_bits():
     sympy = pytest.importorskip("sympy")
-    # the first twelve prime bases admit no strong pseudoprime below 3.3e24
+    # the first twelve prime bases admit no strong pseudoprime below
+    # psi_12 = 318665857834031151167461, which is past 2^64
     assert arith._MR_BASES == tuple(sympy.primerange(38))
+    assert PSI[12] > arith.U64_MAX
     assert arith.is_prime(LARGEST_64_BIT_PRIME)
     for n in PSEUDOPRIMES:
         assert not arith.is_prime(n), n
+
+
+# --- Miller-Rabin bases sized to n -----------------------------------------------
+
+# OEIS A014233: psi_k, the least odd composite that is a strong probable prime
+# to each of the first k prime bases (Jaeschke 1993; Jiang and Deng 2014;
+# Sorenson and Webster 2015).
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+}
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > a passes one round of Miller-Rabin to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_miller_rabin_tiers_are_proven_psi_values():
+    sympy = pytest.importorskip("sympy")
+    bases = arith._MR_BASES
+    tiers = arith._MR_TIERS
+    assert [psi for psi, _ in tiers] == sorted({psi for psi, _ in tiers})
+    for i, (psi, k) in enumerate(tiers):
+        assert psi == PSI[k], (psi, k)
+        assert not sympy.isprime(psi), psi
+        # tight: psi fools the first k bases, and every count of bases the
+        # next tier skips
+        next_k = tiers[i + 1][1] if i + 1 < len(tiers) else len(bases)
+        assert all(PSI[j] == psi for j in range(k, next_k)), (psi, k, next_k)
+        assert all(strong_probable_prime(psi, a) for a in bases[:next_k - 1]), psi
+        assert not strong_probable_prime(psi, bases[next_k - 1]), psi
+    # past the last tier all twelve bases run, and psi_12 fools them all
+    psi_12 = PSI[len(bases)]
+    assert not sympy.isprime(psi_12)
+    assert all(strong_probable_prime(psi_12, a) for a in bases)
+    assert not strong_probable_prime(psi_12, 41)
+
+
+def _tier_band_inputs(sympy):
+    """Odd n > 37 from each tier's band, at psi_k +- 2 and the primes beside psi_k."""
+    rng = random.Random(233)
+    edges = [37] + [psi for psi, _ in arith._MR_TIERS] + [arith.U64_MAX]
+    values = []
+    for low, high in zip(edges, edges[1:]):
+        values += [rng.randrange(low, high) | 1 for _ in range(40)]
+        values += [sympy.nextprime(rng.randrange(low, high)) for _ in range(5)]
+    for psi in edges[1:-1]:
+        values += [psi - 2, psi, psi + 2, sympy.prevprime(psi), sympy.nextprime(psi)]
+    return [n for n in values if 37 < n <= arith.U64_MAX]
+
+
+def test_sized_miller_rabin_matches_sympy_in_every_tier():
+    sympy = pytest.importorskip("sympy")
+    for n in _tier_band_inputs(sympy):
+        assert arith._is_prime_large(n) == sympy.isprime(n), n
+        assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+# --- the primorial gcd at the trial-division bound ---------------------------------
+
+def _trial_bound_inputs(sympy):
+    big = sympy.prevprime(2**40)  # 40 bits
+    mid = sympy.prevprime(2**30)  # 6 * mid^2 stays inside 64 bits
+    p, q = sympy.prevprime(2**20), sympy.nextprime(2**19)
+    return [
+        997, 1009, 997**2, 997 * 1009, 1009**2, 991 * 997 * 1009,
+        12 * big, 997 * big, 6 * mid**2, 2**63,
+        6 * big, p * q,
+    ]
+
+
+def test_factorization_at_the_trial_bound_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert arith._SMALL_PRIMES == list(sympy.primerange(arith._TRIAL_BOUND))
+    assert arith._PRIMORIAL == math.prod(arith._SMALL_PRIMES)
+    for n in _trial_bound_inputs(sympy):
+        assert n <= arith.U64_MAX
+        assert arith.factorize(n) == sorted(sympy.factorint(n).items()), n
+        assert arith.euler_phi(n) == sympy.totient(n), n
+        assert arith.tau(n) == sympy.divisor_count(n), n
+        assert arith.divisors(n) == sympy.divisors(n), n
 
 
 # --- overflow guards ------------------------------------------------------------
