@@ -162,12 +162,11 @@ def _csv_block(a, b, c, d, order, v, u, g1x, g2y):
             f",0,{g2y}\n")
 
 
-def _records(m: int, n: int, block_text, limit: int):
-    """Each enumerate record, in enumerate_tuples order, for a caller that
-    takes at most limit of them.  block_text gives a block's fixed text
-    before l, after l and after the first generator's y; _blocks yields only
-    valid blocks, so no record needs describe's check."""
-    for a, b, c, d, units in goursat._blocks(m, n, limit):
+def _records(m: int, n: int, block_text):
+    """Each enumerate record, in enumerate_tuples order.  block_text gives a
+    block's fixed text before l, after l and after the first generator's y;
+    _blocks yields only valid blocks, so no record needs describe's check."""
+    for a, b, c, d, units in goursat._blocks(m, n):
         order, v, u, g1x, ystep, g2y = goursat._block_facts(m, n, a, b, c, d)
         pre, mid, post = block_text(a, b, c, d, order, v, u, g1x, g2y)
         for ell in units:
@@ -195,7 +194,7 @@ def cmd_enumerate(args) -> int:
                            f"pass --limit N with N <= {MAX_RECORDS}")
     block_text = {"plain": _plain_block, "json": _json_block,
                   "csv": _csv_block}[args.format]
-    records = itertools.islice(_records(m, n, block_text, limit), limit)
+    records = itertools.islice(_records(m, n, block_text), limit)
     if args.format == "json":
         # every json record opens with its ", " separator but the first
         first = next(records, "")[2:]
@@ -262,12 +261,12 @@ def cmd_figure(args) -> int:
 # --- verify --------------------------------------------------------------
 
 # A --range sweep covers at most this many pairs, refused up front past it.
-# At about 160k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take 6-7 s.
+# At about 250k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take about 4 s.
 MAX_RANGE_PAIRS = 10**6
 # A --range sweep checks at most this much work, the sum of m*n over the
 # pairs within the bound, refused up front past it.  Brute force runs at
-# 2-7 us per unit (2-vCPU x86, Python 3.11), so the largest legal sweep
-# takes about 10 s; --range 48 48 --bound 4096 (1,382,976) is legal and
+# about 5 us per unit (2-vCPU x86, Python 3.11), so the largest legal sweep
+# takes about 7 s; --range 48 48 --bound 4096 (1,382,976) is legal and
 # --range 49 49 --bound 4096 (1,500,625) is not.
 MAX_RANGE_WORK = 1_500_000
 

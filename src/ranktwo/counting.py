@@ -119,23 +119,23 @@ def count_cyclic(m: int, n: int) -> int:
     return total
 
 
-def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int, int], int]:
-    """Subgroup counts of Z_{p^alpha} x Z_{p^beta}, keyed by (c, i, j).
+def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int], int]:
+    """Subgroup counts of Z_{p^alpha} x Z_{p^beta}, keyed by (i, j).
 
-    A subgroup under key (c, i, j) has order p^c and type Z_{p^i} x Z_{p^j}.
-    The tuples are a = p^x, b = p^y, e = a/b = p^(x-y), c = p^z with
-    z >= x-y, and d = c/e = p^w; the order is a*d and the type is
-    (gcd(b, d), lcm(a, c)).  Each tuple stands for its phi(e) choices of l,
-    so l is never iterated.  Either exponent may be zero.
+    A subgroup under key (i, j) has type Z_{p^i} x Z_{p^j} and so order
+    p^(i+j).  The tuples are a = p^x, b = p^y, e = a/b = p^(x-y), c = p^z
+    with z >= x-y, and d = c/e = p^w; the type is (gcd(b, d), lcm(a, c)),
+    whose product is the order a*d.  Each tuple stands for its phi(e)
+    choices of l, so l is never iterated.  Either exponent may be zero.
     """
-    table: dict[tuple[int, int, int], int] = {}
+    table: dict[tuple[int, int], int] = {}
     for x in range(alpha + 1):
         for y in range(x + 1):
             k = x - y
             phi = p**k - p ** (k - 1) if k else 1
             for z in range(k, beta + 1):
                 w = z - k
-                key = (x + w, min(y, w), max(x, z))
+                key = (min(y, w), max(x, z))
                 table[key] = table.get(key, 0) + phi
     return table
 
@@ -181,8 +181,8 @@ def count_subgroups(
         want_i, u = _split(u, p)
         want_j, v = _split(v, p)
         factors.append(sum(
-            cnt for (c, i, j), cnt in local_table(p, alpha, beta).items()
-            if (order is None or c == want_c)
+            cnt for (i, j), cnt in local_table(p, alpha, beta).items()
+            if (order is None or i + j == want_c)
             and (key is None or (i, j) == (want_i, want_j))
             and (not cyclic or i == 0)
         ))
@@ -217,13 +217,13 @@ def build_table(m: int, n: int) -> SubgroupTable:
     total = cyclic = 1
     for _, local in local_tables:
         total = checked_mul(total, sum(local.values()))
-        cyclic *= sum(cnt for (_, i, _), cnt in local.items() if i == 0)
+        cyclic *= sum(cnt for (i, _), cnt in local.items() if i == 0)
     orders = [(1, 1)]
     types = [(1, 1, 1)]
     for p, local in local_tables:
         local_order: dict[int, int] = {}
-        for (c, _, _), cnt in local.items():
-            local_order[c] = local_order.get(c, 0) + cnt
+        for (i, j), cnt in local.items():
+            local_order[i + j] = local_order.get(i + j, 0) + cnt
         orders = [
             (o * q, cnt * lc)
             for q, lc in sorted((p**c, lc) for c, lc in local_order.items())
@@ -232,7 +232,7 @@ def build_table(m: int, n: int) -> SubgroupTable:
         orders.sort()
         types = [
             (u * pi, v * pj, cnt * lc)
-            for pi, pj, lc in sorted((p**i, p**j, lc) for (_, i, j), lc in local.items())
+            for pi, pj, lc in sorted((p**i, p**j, lc) for (i, j), lc in local.items())
             for u, v, cnt in types
         ]
         types.sort()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, islice
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import check_nat, divisors
@@ -159,29 +159,23 @@ def _units(e: int, start: int = 1) -> Iterator[int]:
     return (ell for ell in range(start, e + 1) if gcd(ell, e) == 1)
 
 
-def _blocks(
-    m: int, n: int, limit: int | None = None
-) -> Iterator[tuple[int, int, int, int, Iterable[int]]]:
+def _blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int, Iterable[int]]]:
     """Yield (a, b, c, d, units) for a | m, b | a with e = a/b dividing n,
     and c = e*d for d | n/e, lexicographic in (a, b, c).  units iterates the
     block's l, the units mod e ascending: the head of (a, b), then the rest
-    from _units.  A caller that takes at most limit records, each block whole
-    before the next, gets no head longer than the records it has left."""
-    left = inf if limit is None else limit
+    from _units."""
     for a in divisors(m):
         for b in divisors(a):
             e = a // b
             if n % e:
                 continue
-            cap = min(UNITS_HEAD, left)
-            head = list(islice(_units(e), cap))
-            # a head shorter than cap holds every unit; after a full one the
-            # rest follow lazily, in each block
-            more = len(head) == cap
+            head = list(islice(_units(e), UNITS_HEAD))
+            # a head shorter than UNITS_HEAD holds every unit; after a full
+            # one the rest follow lazily, in each block
+            more = len(head) == UNITS_HEAD
             for d in divisors(n // e):
                 units = chain(head, _units(e, head[-1] + 1)) if more else head
                 yield a, b, e * d, d, units
-                left -= len(head)  # the block had at least len(head) records
 
 
 def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:

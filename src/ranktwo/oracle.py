@@ -13,21 +13,25 @@ The ambient group has rank at most two, so every subgroup is C1 + C2 for two
 cyclic subgroups.  `brute_subgroups` spans each cyclic subgroup once from
 its lowest point, then forms C1 + <g2> for every pair where neither contains
 the other.  Each sum also marks the g2 that give it with C1, its cosets
-C1 + k*g2 with k prime to the index, and a marked g2 is skipped.
-`classify` proves a set closed by growing a greedy span inside it: the
-lowest point not yet spanned spans with it, and a point outside the set
-refutes closure at once.  Neither uses any result of the tuple enumeration
-or the closed-form counters.  Both are thin wrappers over the masks, which
-`cross_check` uses end to end.
+C1 + k*g2 with k prime to the index, and a marked g2 is skipped.  A subgroup
+of order N and exponent v is Z_{N/v} x Z_v, and the exponent of <g1, g2> is
+lcm(ord g1, ord g2), so each subgroup is typed as it is formed: a cyclic
+one's exponent is its order, and C1 + <g2> has exponent lcm(|C1|, |C2|).
+`classify` types an explicit set on its own: it proves the set closed by
+growing a greedy span inside it, the lowest point not yet spanned spans with
+it, and a point outside the set refutes closure at once.  Neither uses any
+result of the tuple enumeration or the closed-form counters.
 
-`cross_check` classifies the brute-force subgroups into one table of facts
-(total, by order, by type, cyclic) and diffs it key by key against the same
-table from the paper's divisor sums and from `build_table`, then compares
-the subgroups themselves, as masks, with the tuple enumeration's.
+`cross_check` tallies the brute-force subgroups' orders and types into one
+table of facts (total, by order, by type, cyclic) and diffs it key by key
+against the same table from the paper's divisor sums and from
+`build_table`, then checks, as masks, that the tuple enumeration names each
+brute-force subgroup exactly once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
@@ -166,29 +170,30 @@ def _sum(g: _Grid, h: int, x: int, y: int) -> tuple[int, int]:
     return total, gens
 
 
-def _brute_masks(g: _Grid) -> set[int]:
-    """Every subgroup of g's group, as a mask."""
+def _brute_masks(g: _Grid) -> dict[int, int]:
+    """Every subgroup of g's group, as a mask, with its exponent."""
     # cyclic subgroups: span the lowest point not yet marked, and mark every
-    # generator of that span
-    cyclics: list[tuple[int, int]] = []
+    # generator of that span.  A cyclic subgroup's exponent is its order
+    cyclics: list[tuple[int, int, int]] = []
     unmarked = g.full
     while unmarked:
         gen = _lowest(unmarked)
         c, gens = _sum(g, 1, *divmod(gen, g.n))
         unmarked ^= gens
-        cyclics.append((gen, c))
+        cyclics.append((gen, c, c.bit_count()))
 
-    # C1 + C2 for each pair where neither holds the other's generator.  A g2
-    # that generates an already formed C1 + <g2'> with C1 makes no new sum
-    found = {c for _, c in cyclics}
-    for i, (g1, c1) in enumerate(cyclics):
+    # C1 + C2 for each pair where neither holds the other's generator; its
+    # exponent is lcm(|C1|, |C2|).  A g2 that generates an already formed
+    # C1 + <g2'> with C1 makes no new sum
+    found = {c: order for _, c, order in cyclics}
+    for i, (g1, c1, o1) in enumerate(cyclics):
         skip = c1
-        for g2, c2 in cyclics[i + 1:]:
+        for g2, c2, o2 in cyclics[i + 1:]:
             if skip >> g2 & 1 or c2 >> g1 & 1:
                 continue
             total, gens = _sum(g, c1, *divmod(g2, g.n))
             skip |= gens
-            found.add(total)
+            found[total] = lcm(o1, o2)
     return found
 
 
@@ -198,22 +203,6 @@ def brute_subgroups(
     """All subgroups of Z_m x Z_n as sums of two cyclic subgroups."""
     g = _Grid(m, n, bound)
     return {g.decode(s) for s in _brute_masks(g)}
-
-
-def _classify(g: _Grid, s: int) -> tuple[int, int, TypeKey]:
-    """classify on the mask s; see there."""
-    m, n = g.m, g.n
-    if not s & 1:
-        raise ValueError("not a subgroup: missing (0, 0)")
-    outside = g.full ^ s
-    span = 1
-    exponent = 1
-    while rest := s ^ span:
-        sx, sy = divmod(_lowest(rest), n)
-        span = g.span(span, sx, sy, outside)
-        exponent = lcm(exponent, _element_order(sx, sy, m, n))
-    order = s.bit_count()
-    return order, exponent, TypeKey(order // exponent, exponent)
 
 
 def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
@@ -228,7 +217,18 @@ def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
     """
     m, n = s.ambient
     g = _Grid(m, n)
-    return _classify(g, g.encode(s.elements))
+    mask = g.encode(s.elements)
+    if not mask & 1:
+        raise ValueError("not a subgroup: missing (0, 0)")
+    outside = g.full ^ mask
+    span = 1
+    exponent = 1
+    while rest := mask ^ span:
+        sx, sy = divmod(_lowest(rest), n)
+        span = g.span(span, sx, sy, outside)
+        exponent = lcm(exponent, _element_order(sx, sy, m, n))
+    order = mask.bit_count()
+    return order, exponent, TypeKey(order // exponent, exponent)
 
 
 def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
@@ -244,12 +244,8 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
     g = _Grid(m, n, bound)
     brute = _brute_masks(g)
 
-    by_order: dict[int, int] = {}
-    by_type: dict[TypeKey, int] = {}
-    for s in brute:
-        order, _, key = _classify(g, s)
-        by_order[order] = by_order.get(order, 0) + 1
-        by_type[key] = by_type.get(key, 0) + 1
+    by_order = Counter(s.bit_count() for s in brute)
+    by_type = Counter(TypeKey(s.bit_count() // v, v) for s, v in brute.items())
     cyclic = sum(cnt for key, cnt in by_type.items() if key.A == 1)
     oracle_facts = ({None: len(brute)}, by_order, by_type, {None: cyclic})
 
@@ -278,12 +274,16 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
                     mismatches.append((prefix + name, shown, expected.get(key),
                                        actual.get(key)))
 
-    enumerated = {g.encode(materialize(m, n, t).elements)
-                  for t in enumerate_tuples(m, n)}
-    if enumerated != brute:
-        missing = sorted(s.bit_count() for s in brute - enumerated)
-        extra = sorted(s.bit_count() for s in enumerated - brute)
+    # the tuples and the subgroups must be in bijection: each mask named once
+    named = Counter(g.encode(materialize(m, n, t).elements)
+                    for t in enumerate_tuples(m, n))
+    if named.keys() != brute.keys():
+        missing = sorted(s.bit_count() for s in brute.keys() - named.keys())
+        extra = sorted(s.bit_count() for s in named.keys() - brute.keys())
         mismatches.append(("element_sets", None, f"missing orders {missing}",
                            f"extra orders {extra}"))
+    if twice := sorted(s.bit_count() for s, k in named.items() if k > 1):
+        mismatches.append(("element_sets", None, "each named once",
+                           f"orders named more than once {twice}"))
 
     return OracleReport((m, n), len(brute), mismatches)

@@ -467,8 +467,10 @@ def test_enumerate_64_bit_prime_square_stays_lazy(capsys, fmt):
 
 
 def test_enumerate_lists_no_more_units_than_its_limit(capsys, monkeypatch):
-    # the units head of a block is cut to the records --limit has left: after
-    # the two a/b = 1 records, the block a/b = p lists only l = 1, 2, 3
+    # the two a/b = 1 records draw l = 1 once, and the block a/b = p opens
+    # with a head of at most UNITS_HEAD units, of which --limit takes three
+    p = LARGEST_64_BIT_PRIME
+    expected = reference_enumerate(p, p, "plain", 5)
     drawn = []
     units = goursat._units
 
@@ -478,10 +480,8 @@ def test_enumerate_lists_no_more_units_than_its_limit(capsys, monkeypatch):
             yield ell
 
     monkeypatch.setattr(goursat, "_units", counted)
-    p = LARGEST_64_BIT_PRIME
-    code, out, _ = run(capsys, "enumerate", str(p), str(p), "--limit", "5")
-    assert (code, len(out.splitlines())) == (0, 5)
-    assert drawn == [1, 1, 2, 3]
+    assert run(capsys, "enumerate", str(p), str(p), "--limit", "5") == (0, expected, "")
+    assert len(drawn) <= 2 + goursat.UNITS_HEAD
 
 
 class _NoWrites:

@@ -228,7 +228,8 @@ def test_cross_check_flags_wrong_element_sets(monkeypatch):
         ("element_sets", None, "missing orders [36]", "extra orders [35]")]
 
     # a wrong subgroup of the right order: {0} x <6> comes back as <4> x {0},
-    # which (3, 3, 1, 1, 1) also names, so nothing is extra
+    # which (3, 3, 1, 1, 1) also names, so nothing is extra but <4> x {0}
+    # is named twice
     def swap_a_subgroup(m, n, t):
         if t == GoursatTuple(1, 1, 3, 3, 1):
             t = GoursatTuple(3, 3, 1, 1, 1)
@@ -236,7 +237,34 @@ def test_cross_check_flags_wrong_element_sets(monkeypatch):
 
     monkeypatch.setattr(oracle, "materialize", swap_a_subgroup)
     assert cross_check(12, 18).mismatches == [
-        ("element_sets", None, "missing orders [3]", "extra orders []")]
+        ("element_sets", None, "missing orders [3]", "extra orders []"),
+        ("element_sets", None, "each named once", "orders named more than once [3]")]
+
+
+def test_cross_check_flags_a_tuple_named_twice(monkeypatch):
+    # every subgroup is still named, so the element sets agree as sets; only
+    # the count of tuples per subgroup shows the fault
+    def yield_one_twice(m, n):
+        for t in enumerate_tuples(m, n):
+            yield t
+            if t == GoursatTuple(6, 2, 18, 6, 1):
+                yield t
+
+    monkeypatch.setattr(oracle, "enumerate_tuples", yield_one_twice)
+    assert cross_check(12, 18).mismatches == [
+        ("element_sets", None, "each named once", "orders named more than once [36]")]
+
+
+def test_brute_force_types_match_classify():
+    # _brute_masks types each subgroup from the cyclic pair that formed it;
+    # classify types the decoded set by its own greedy span
+    for m in range(1, 257):
+        for n in range(1, 256 // m + 1):
+            g = oracle._Grid(m, n)
+            for mask, exponent in oracle._brute_masks(g).items():
+                order = mask.bit_count()
+                assert classify(g.decode(mask)) == \
+                    (order, exponent, TypeKey(order // exponent, exponent)), (m, n)
 
 
 def test_oracle_equals_enumeration_up_to_256():
