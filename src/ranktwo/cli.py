@@ -7,7 +7,9 @@ error, 3 verification mismatch.
 Every number argument passes `_positive`, which refuses a value below 1 or
 past 64 bits before any output.  Every value written is an int or a fixed
 token, so output is f-string rows that need no quoting, written as they
-go (by table and enumerate in batches of BATCH_ROWS).  Only verify's
+go (by table and enumerate in batches of BATCH_ROWS).  table writes
+counting's ascending row lists as they are, with no dict or TypeKey between
+them and the output.  Only verify's
 reports, whose mismatch text needs escaping, are written by `json.dumps`;
 verify imports `json` itself, so no other command loads it.
 """
@@ -91,47 +93,45 @@ def cmd_count(args) -> int:
 
 # --- table ---------------------------------------------------------------
 
-def _table_lines(table: counting.SubgroupTable, fmt: str):
-    """The table's output in fmt, one row at a time.  A json document is a
-    single line, yielded in pieces; by_order and by_type are never empty."""
-    m, n = table.ambient
+def _table_lines(m, n, total, cyclic, orders, types, fmt: str):
+    """The table's output in fmt, one row at a time, from `_table_rows`'
+    ascending (order, count) and (u, v, count) rows.  A json document is a
+    single line, yielded in pieces; orders and types are never empty."""
     if fmt == "json":
-        yield f'{{"ambient": [{m}, {n}], "total": {table.total}, "by_order": ['
+        yield f'{{"ambient": [{m}, {n}], "total": {total}, "by_order": ['
         sep = ""
-        for order, cnt in table.by_order.items():
+        for order, cnt in orders:
             yield f'{sep}{{"order": {order}, "count": {cnt}}}'
             sep = ", "
         yield '], "by_type": ['
         sep = ""
-        for (a, b), cnt in table.by_type.items():
+        for a, b, cnt in types:
             yield f'{sep}{{"a": {a}, "b": {b}, "count": {cnt}}}'
             sep = ", "
-        yield (f'], "cyclic": {table.cyclic_total}, '
-               f'"noncyclic": {table.noncyclic_total}}}\n')
+        yield f'], "cyclic": {cyclic}, "noncyclic": {total - cyclic}}}\n'
     elif fmt == "csv":
-        yield (f"row,key,count\ntotal,,{table.total}\ncyclic,,{table.cyclic_total}\n"
-               f"noncyclic,,{table.noncyclic_total}\n")
-        for order, cnt in table.by_order.items():
+        yield (f"row,key,count\ntotal,,{total}\ncyclic,,{cyclic}\n"
+               f"noncyclic,,{total - cyclic}\n")
+        for order, cnt in orders:
             yield f"order,{order},{cnt}\n"
-        for (a, b), cnt in table.by_type.items():
+        for a, b, cnt in types:
             yield f"type,{a}x{b},{cnt}\n"
     else:
-        yield (f"Subgroups of Z_{m} x Z_{n}\ntotal: {table.total}\n"
-               f"cyclic: {table.cyclic_total}\nnoncyclic: {table.noncyclic_total}\n"
-               "by order:\n")
-        for order, cnt in table.by_order.items():
+        yield (f"Subgroups of Z_{m} x Z_{n}\ntotal: {total}\n"
+               f"cyclic: {cyclic}\nnoncyclic: {total - cyclic}\nby order:\n")
+        for order, cnt in orders:
             yield f"  {order}: {cnt}\n"
         yield "by type:\n"
-        for (a, b), cnt in table.by_type.items():
+        for a, b, cnt in types:
             yield f"  Z_{b}: {cnt}\n" if a == 1 else f"  Z_{a} x Z_{b}: {cnt}\n"
 
 
 def cmd_table(args) -> int:
     m = _positive(args.m, "m")
     n = _positive(args.n, "n")
-    # the whole table is built, and any refusal raised, before the first write
-    table = counting.build_table(m, n)
-    _write_batches(_table_lines(table, args.format))
+    # the whole table is formed, and any refusal raised, before the first write
+    rows = counting._table_rows(m, n)
+    _write_batches(_table_lines(m, n, *rows, args.format))
     return EXIT_OK
 
 

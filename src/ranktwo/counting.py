@@ -3,7 +3,9 @@
 Every count the library reports comes from one per-prime engine: the
 local table of Z_{p^alpha} x Z_{p^beta} from the (a, b, c, d, l)
 parametrization, multiplied over the primes of m*n (`local_table`,
-`count_subgroups`, `build_table`).  The paper's divisor-sum identities for
+`count_subgroups`, `_table_rows`).  `_table_rows` forms the full table as
+ascending row lists, which the CLI's `table` writes as they are and
+`build_table` reads into dicts.  The paper's divisor-sum identities for
 the total, by order, by type and cyclic counts stay here as the
 independent side `verify` compares the brute-force oracle with; its other
 forms (gcd double sums, prime-power closed forms) are tested statements
@@ -194,19 +196,17 @@ def count_subgroups(
     return result
 
 
-def build_table(m: int, n: int) -> SubgroupTable:
-    """Aggregate report as the product of the local tables at each prime of m*n.
+def _table_rows(m: int, n: int) -> tuple[int, int, list, list]:
+    """(total, cyclic, orders, types): the aggregate report as the product of
+    the local tables at each prime of m*n, with orders and types as ascending
+    lists of (order, count) and (u, v, count) rows.
 
     Orders and (u, v) multiply prime by prime, so no key is reached twice;
-    zero-count rows never arise.  The products are ascending lists of
-    (order, count) and (u, v, count) rows.  At each prime every local row,
-    in ascending order, scales the whole list; scaling keeps the order, so
-    each local row gives one ascending run, and one sort merges the runs.
-    The dicts are read straight off the final lists, and each type key is
-    made once, unchecked: u | v holds at every prime, so it holds for the
-    products.  Refuses m*n past 64 bits.  The total is formed and checked
-    for overflow first; no count by order or by type exceeds it, so their
-    products need no check of their own.
+    zero-count rows never arise.  At each prime every local row, in ascending
+    order, scales the whole list; scaling keeps the order, so each local row
+    gives one ascending run, and one sort merges the runs.  Refuses m*n past
+    64 bits.  The total is formed and checked for overflow first; no count by
+    order or by type exceeds it, so their products need no check of their own.
     """
     check_nat(m, "m")
     check_nat(n, "n")
@@ -236,6 +236,15 @@ def build_table(m: int, n: int) -> SubgroupTable:
             for u, v, cnt in types
         ]
         types.sort()
+    return total, cyclic, orders, types
+
+
+def build_table(m: int, n: int) -> SubgroupTable:
+    """Aggregate report of Z_m x Z_n, read off `_table_rows`' lists, so its
+    dicts iterate in ascending key order.  Each type key is made once,
+    unchecked: u | v holds at every prime, so it holds for the products.
+    """
+    total, cyclic, orders, types = _table_rows(m, n)
     new = tuple.__new__
     return SubgroupTable(
         ambient=(m, n),
