@@ -1,16 +1,7 @@
 """Subgroup enumeration, classification, and counting for Z_m x Z_n."""
 
 from .arith import divisors, tau
-from .counting import (
-    SubgroupTable,
-    TypeKey,
-    build_table,
-    count_by_order,
-    count_by_type,
-    count_cyclic,
-    count_subgroups,
-    count_total,
-)
+from .counting import SubgroupTable, TypeKey, build_table, count_subgroups
 from .goursat import (
     ElementSet,
     GoursatTuple,
@@ -29,11 +20,7 @@ __all__ = [
     "brute_subgroups",
     "build_table",
     "classify",
-    "count_by_order",
-    "count_by_type",
-    "count_cyclic",
     "count_subgroups",
-    "count_total",
     "cross_check",
     "describe",
     "divisors",

@@ -5,17 +5,18 @@ local table of Z_{p^alpha} x Z_{p^beta} from the (a, b, c, d, l)
 parametrization, multiplied over the primes of m*n (`local_table`,
 `count_subgroups`, `_table_rows`).  `_table_rows` forms the full table as
 ascending row lists, which the CLI's `table` writes as they are and
-`build_table` reads into dicts.  The paper's divisor-sum identities for
-the total, by order, by type and cyclic counts stay here as the
-independent side `verify` compares the brute-force oracle with; its other
-forms (gcd double sums, prime-power closed forms) are tested statements
-in the test suite, not library functions.  Everything is exact integer
-arithmetic.
+`build_table` reads into dicts.  The paper's divisor-sum identities stay
+here as the independent side `verify` compares the brute-force oracle
+with: the total and cyclic counts as single sums, and the by-type sum as
+one walk that gives every type at once, whose orders are the by-order
+counts.  Its other forms (the per-value by-order and by-type sums, gcd
+double sums, prime-power closed forms) are tested statements in the test
+suite, not library functions.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .arith import (
@@ -39,12 +40,13 @@ class _TypeKeyFields(NamedTuple):
 class TypeKey(_TypeKeyFields):
     """Isomorphism type Z_A x Z_B with A | B, the library's one type value.
 
-    It keys `build_table`'s by-type counts, filters `count_by_type` and
+    It keys the by-type counts of `build_table` and `count_by_type`, filters
     `count_subgroups`, and is the invariant pair that `describe` and
     `oracle.classify` return.  `TypeKey(A, B)` checks its values.
     `TypeKey._make((A, B))`, `_replace` and `tuple.__new__(TypeKey, (A, B))`
-    do not: they are for keys already known to be valid.  `build_table`
-    makes its keys, products of local types, through `tuple.__new__`.
+    do not: they are for keys already known to be valid.  `build_table` and
+    `count_by_type` make their keys, which satisfy A | B by construction,
+    through `tuple.__new__`.
     Equality, order and hash are those of the tuple (A, B).
     """
 
@@ -79,33 +81,35 @@ def count_total(m: int, n: int) -> int:
     return total
 
 
-def count_by_order(m: int, n: int, delta: int) -> int:
-    """Number of subgroups of order delta; 0 when delta does not divide m*n."""
+def count_by_type(m: int, n: int) -> dict[TypeKey, int]:
+    """Number of subgroups of each type Z_A x Z_B, as the paper's sum of
+    phi(ij/AB) over i | m, j | n with AB | ij and lcm(i, j) = B.
+
+    With g = gcd(i, j), ij = g*B, so AB | ij is A | g and the summand is
+    phi(g/A): one walk over (i, j, A | g) gives every type at once.  Types
+    with no subgroup are absent, so no count is 0.
+    """
     check_nat(m, "m")
     check_nat(n, "n")
-    check_nat(delta, "delta")
-    total = 0
-    for i in divisors(gcd(m, delta)):
-        for j in divisors(gcd(n, delta)):
-            if (i * j) % delta == 0:
-                total = checked_add(total, euler_phi(i * j // delta))
-    return total
-
-
-def count_by_type(m: int, n: int, key: TypeKey) -> int:
-    """Number of subgroups isomorphic to Z_A x Z_B; 0 when A does not divide gcd(m,n)."""
-    check_nat(m, "m")
-    check_nat(n, "n")
-    A, B = key.A, key.B
-    if gcd(m, n) % A != 0:
-        return 0
-    ab = A * B
-    total = 0
+    new = tuple.__new__
+    counts: dict[TypeKey, int] = {}
     for i in divisors(m):
         for j in divisors(n):
-            if (i * j) % ab == 0 and lcm(i, j) == B:
-                total = checked_add(total, euler_phi(i * j // ab))
-    return total
+            g = gcd(i, j)
+            B = i // g * j
+            for A in divisors(g):
+                key = new(TypeKey, (A, B))  # A | g | B
+                counts[key] = checked_add(counts.get(key, 0), euler_phi(g // A))
+    return counts
+
+
+def count_by_order(m: int, n: int) -> dict[int, int]:
+    """Number of subgroups of each order, read off `count_by_type`: a
+    subgroup of type Z_A x Z_B has order A*B.  No count is 0."""
+    counts: dict[int, int] = {}
+    for (A, B), cnt in count_by_type(m, n).items():
+        counts[A * B] = counts.get(A * B, 0) + cnt
+    return counts
 
 
 def count_cyclic(m: int, n: int) -> int:

@@ -7,16 +7,17 @@ names, classifies it (order, exponent, invariant factors, cyclicity), and
 inverts the correspondence for an explicitly given subgroup.
 
 The tuples are walked one block at a time.  A block is one (a, b, c, d):
-the walk takes a | m and b | a, skips the pair when e = a/b does not divide
-n, and otherwise takes c = e*d for each d | n/e, so c ascends.  A block's
-tuples are the (a, b, c, d, l) with l a unit mod e.  The units of e are
-listed once per (a, b), up to UNITS_HEAD of them, and that head serves
-every block of the pair; any further units are produced lazily, so e may
-be a 64-bit prime and memory holds one head at a time.  The subgroup's
-order a*d and its invariant factors gcd(b, d) and lcm(a, c) depend only on
-the block, as does every generator coordinate except the first generator's
-y = l*n/c mod n, so a caller that lists many tuples computes them once per
-block.
+the walk takes a | m and e = a/b dividing gcd(a, n), e descending so that
+b = a/e ascends, then c = e*d for each d | n/e, so c ascends.  It visits
+only blocks that exist: with n = 1 it takes tau(m) steps, not one per
+divisor of each a | m.  A block's tuples are the (a, b, c, d, l) with l a
+unit mod e.  The units of e are listed once per (a, b), up to UNITS_HEAD
+of them, and that head serves every block of the pair; any further units
+are produced lazily, so e may be a 64-bit prime and memory holds one head
+at a time.  The subgroup's order a*d and its invariant factors gcd(b, d)
+and lcm(a, c) depend only on the block, as does every generator coordinate
+except the first generator's y = l*n/c mod n, so a caller that lists many
+tuples computes them once per block.
 """
 
 from __future__ import annotations
@@ -160,15 +161,13 @@ def _units(e: int, start: int = 1) -> Iterator[int]:
 
 
 def _blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int, Iterable[int]]]:
-    """Yield (a, b, c, d, units) for a | m, b | a with e = a/b dividing n,
-    and c = e*d for d | n/e, lexicographic in (a, b, c).  units iterates the
+    """Yield (a, b, c, d, units) for a | m, b = a/e for e | gcd(a, n), and
+    c = e*d for d | n/e, lexicographic in (a, b, c).  units iterates the
     block's l, the units mod e ascending: the head of (a, b), then the rest
     from _units."""
     for a in divisors(m):
-        for b in divisors(a):
-            e = a // b
-            if n % e:
-                continue
+        for e in reversed(divisors(gcd(a, n))):
+            b = a // e
             head = list(islice(_units(e), UNITS_HEAD))
             # a head shorter than UNITS_HEAD holds every unit; after a full
             # one the rest follow lazily, in each block

@@ -1,18 +1,54 @@
 """The paper's other forms of the subgroup counts, as test-side statements.
 
 The library computes every count through its per-prime engine and keeps the
-divisor sums `count_total`, `count_by_order`, `count_by_type` and
-`count_cyclic` for `verify`.  The forms below are further identities from
-the paper: the gcd double sums, the cyclic count by order, the prime-power
-closed forms and the per-row offset form of a tuple's element set.  Nothing
-in the library calls them; the tests check them against the engine, the
-divisor sums and the brute-force oracle.
+divisor sums `count_total` and `count_cyclic`, and the by-order and by-type
+sums as one walk that returns every order and type at once, for `verify`.
+The forms below are further identities from the paper: the by-order and
+by-type sums for one value each, as the paper states them, the gcd double
+sums, the cyclic count by order, the prime-power closed forms and the
+per-row offset form of a tuple's element set.  Nothing in the library calls
+them; the tests check them against the engine, the divisor sums and the
+brute-force oracle.
 """
 
 from math import gcd, lcm
 
 from ranktwo.arith import check_nat, checked_add, divisors, euler_phi, is_prime
+from ranktwo.counting import TypeKey
 from ranktwo.goursat import GoursatTuple, check_membership
+
+
+def count_by_order_reference(m: int, n: int, delta: int) -> int:
+    """Number of subgroups of order delta, as the sum of phi(ij/delta) over
+    i | gcd(m, delta), j | gcd(n, delta) with delta | ij; 0 when delta does
+    not divide m*n."""
+    check_nat(m, "m")
+    check_nat(n, "n")
+    check_nat(delta, "delta")
+    total = 0
+    for i in divisors(gcd(m, delta)):
+        for j in divisors(gcd(n, delta)):
+            if (i * j) % delta == 0:
+                total = checked_add(total, euler_phi(i * j // delta))
+    return total
+
+
+def count_by_type_reference(m: int, n: int, key: TypeKey) -> int:
+    """Number of subgroups isomorphic to Z_A x Z_B, as the sum of phi(ij/AB)
+    over i | m, j | n with AB | ij and lcm(i, j) = B; 0 when A does not
+    divide gcd(m, n)."""
+    check_nat(m, "m")
+    check_nat(n, "n")
+    A, B = key.A, key.B
+    if gcd(m, n) % A != 0:
+        return 0
+    ab = A * B
+    total = 0
+    for i in divisors(m):
+        for j in divisors(n):
+            if (i * j) % ab == 0 and lcm(i, j) == B:
+                total = checked_add(total, euler_phi(i * j // ab))
+    return total
 
 
 def count_total_reference(m: int, n: int) -> int:

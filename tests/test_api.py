@@ -18,11 +18,7 @@ def test_public_names():
         "brute_subgroups",
         "build_table",
         "classify",
-        "count_by_order",
-        "count_by_type",
-        "count_cyclic",
         "count_subgroups",
-        "count_total",
         "cross_check",
         "describe",
         "divisors",

@@ -6,10 +6,13 @@ past each cap: MAX_RECORDS, MAX_RANGE_PAIRS, MAX_RANGE_WORK, MAX_BOUND,
 the console script runs it, and asserts the exit code (0, 2 or 3), no
 traceback on stderr, nothing on stdout for a refusal, and a wall-time budget
 at least ten times what the row takes on a 2-vCPU x86 host
-(Python 3.11).  The rows run two at a time.
+(Python 3.11).  Each child may map at most CHILD_AS_BYTES, so a row whose
+memory runs away fails with a MemoryError instead of swapping.  The rows run
+two at a time.
 """
 
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -25,6 +28,9 @@ SRC = Path(__file__).parent.parent / "src"
 P64 = 18446744073709551557  # the largest 64-bit prime
 SEMI60 = 1000000007 * 999999937  # a 60-bit semiprime
 U64 = 2**64 - 1
+# 2^7*3^4*5^2*7^2*11*13*...*41, with 184,320 divisors
+SMOOTH64 = 18401055938125660800
+CHILD_AS_BYTES = 2 << 30
 
 # (argv, exit code, budget in seconds), slowest first, so that the two lanes
 # finish together
@@ -33,6 +39,10 @@ ROWS = [
     (["verify", "--range", "48", "48", "--bound", str(oracle.MAX_BOUND)], 0, 90),
     # MAX_RANGE_PAIRS pairs, each skipped at --bound 1: about 4 s
     (["verify", "--range", "1000", "1000", "--bound", "1"], 0, 60),
+    # 529,920 records, each block one unit: about 3 s
+    (["enumerate", str(SMOOTH64), "2", "--limit", "1000000"], 0, 30),
+    # tau(SMOOTH64) records, one per block: about 1.5 s
+    (["enumerate", str(SMOOTH64), "1"], 0, 15),
     (["table", "3491888400", "3491888400"], 0, 20),
     (["verify", "60", "60", "--bound", str(oracle.MAX_BOUND)], 0, 10),
     (["count", str(P64), str(P64)], 0, 5),
@@ -63,13 +73,18 @@ ROWS = [
 ]
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+
+
 def _run(argv, budget):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     try:
         done = subprocess.run([sys.executable, "-m", "ranktwo.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=budget)
+                              capture_output=True, text=True, timeout=budget,
+                              preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return None, "", "", time.perf_counter() - start
     return done.returncode, done.stdout, done.stderr, time.perf_counter() - start

@@ -214,7 +214,7 @@ def test_table_rejects_product_past_64_bits(capsys):
 
 
 def test_table_highly_composite_is_fast(capsys):
-    from ranktwo import count_cyclic, count_total
+    from ranktwo.counting import count_cyclic, count_total
     start = time.perf_counter()
     code, out, _ = run(capsys, "table", "720720", "720720", "--format", "json")
     elapsed = time.perf_counter() - start
@@ -770,12 +770,13 @@ SKEWED_TYPE_OUTPUT = {
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_verify_prints_a_by_type_mismatch_as_a_plain_pair(capsys, monkeypatch, fmt):
-    from ranktwo import oracle
+    from ranktwo import TypeKey, oracle
 
     count_by_type = oracle.count_by_type
 
-    def skewed(m, n, key):
-        return count_by_type(m, n, key) + (key == (2, 18))
+    def skewed(m, n):
+        types = count_by_type(m, n)
+        return {**types, TypeKey(2, 18): types.get(TypeKey(2, 18), 0) + 1}
 
     monkeypatch.setattr(oracle, "count_by_type", skewed)
     code, out, _ = run(capsys, "verify", "12", "18", "--format", fmt)

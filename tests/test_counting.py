@@ -12,19 +12,18 @@ from ranktwo import (
     SubgroupTable,
     TypeKey,
     build_table,
-    count_by_order,
-    count_by_type,
-    count_cyclic,
     count_subgroups,
-    count_total,
     describe,
     divisors,
     enumerate_tuples,
     tau,
 )
+from ranktwo.counting import count_by_order, count_by_type, count_cyclic, count_total
 
 from paper_forms import (
     count_by_order_prime_power,
+    count_by_order_reference,
+    count_by_type_reference,
     count_cyclic_by_order,
     count_cyclic_reference,
     count_total_prime_power,
@@ -81,27 +80,28 @@ def test_prime_power_total_rejects_bad_input():
 # --- count_by_order -------------------------------------------------------------
 
 def test_count_by_order_examples():
-    assert count_by_order(12, 18, 4) == 3
-    assert count_by_order(7, 5, 1) == 1
-    assert count_by_order(12, 18, 216) == 1
+    assert count_by_order(12, 18).get(4, 0) == 3
+    assert count_by_order(7, 5).get(1, 0) == 1
+    assert count_by_order(12, 18).get(216, 0) == 1
 
 
 def test_count_by_order_zero_when_delta_not_dividing():
-    assert count_by_order(2, 2, 8) == 0
-    assert count_by_order(12, 18, 5) == 0
+    assert count_by_order(2, 2).get(8, 0) == 0
+    assert count_by_order(12, 18).get(5, 0) == 0
 
 
 def test_count_by_order_partition():
     for m in range(1, 61):
         for n in range(1, 61):
-            total = sum(count_by_order(m, n, d) for d in divisors(m * n))
+            orders = count_by_order(m, n)
+            total = sum(orders.get(d, 0) for d in divisors(m * n))
             assert total == count_total(m, n)
 
 
 # --- count_by_order_prime_power ---------------------------------------------------
 
 def test_prime_power_order_examples():
-    assert count_by_order_prime_power(2, 1, 1, 1) == 3 == count_by_order(2, 2, 2)
+    assert count_by_order_prime_power(2, 1, 1, 1) == 3 == count_by_order(2, 2).get(2, 0)
     assert count_by_order_prime_power(5, 2, 3, 0) == 1
 
 
@@ -111,7 +111,7 @@ def test_prime_power_order_matches_generic_sum():
             for b in range(a, 5):
                 for c in range(0, a + b + 1):
                     assert count_by_order_prime_power(p, a, b, c) == \
-                        count_by_order(p**a, p**b, p**c)
+                        count_by_order(p**a, p**b).get(p**c, 0)
 
 
 def test_prime_power_order_rejects_bad_c():
@@ -122,10 +122,10 @@ def test_prime_power_order_rejects_bad_c():
 # --- count_by_type --------------------------------------------------------------
 
 def test_count_by_type_examples():
-    assert count_by_type(12, 18, TypeKey(2, 4)) == 1
-    assert count_by_type(12, 18, TypeKey(6, 36)) == 1
+    assert count_by_type(12, 18).get(TypeKey(2, 4), 0) == 1
+    assert count_by_type(12, 18).get(TypeKey(6, 36), 0) == 1
     # 4 does not divide gcd(12, 18) = 6
-    assert count_by_type(12, 18, TypeKey(4, 8)) == 0
+    assert count_by_type(12, 18).get(TypeKey(4, 8), 0) == 0
 
 
 def test_type_key_requires_divisibility():
@@ -143,13 +143,14 @@ def test_type_key_refuses_bad_values(args, error):
 def test_count_by_type_partition():
     for m in range(1, 41):
         for n in range(1, 41):
+            types = count_by_type(m, n)
             total = 0
             cyclic = 0
             for A in divisors(math.gcd(m, n)):
                 for B in divisors(m * n // A):
                     if B % A:
                         continue
-                    cnt = count_by_type(m, n, TypeKey(A, B))
+                    cnt = types.get(TypeKey(A, B), 0)
                     total += cnt
                     if A == 1:
                         cyclic += cnt
@@ -165,8 +166,30 @@ def test_count_by_type_matches_tuple_classification():
                 u = math.gcd(t.b, t.d)
                 v = math.lcm(t.a, t.c)
                 observed[(u, v)] = observed.get((u, v), 0) + 1
+            types = count_by_type(m, n)
             for (u, v), cnt in observed.items():
-                assert count_by_type(m, n, TypeKey(u, v)) == cnt
+                assert types.get(TypeKey(u, v), 0) == cnt
+
+
+def test_paper_sums_match_their_per_value_forms():
+    # the one walk against the paper's per-value sums, also on an order and
+    # types outside the group: a prime q not dividing m*n, and 2*m*n
+    for m in range(1, 41):
+        for n in range(1, 41):
+            mn = m * n
+            q = next(p for p in (2, 3, 5, 7, 11) if mn % p)
+            orders = count_by_order(m, n)
+            types = count_by_type(m, n)
+            assert 0 not in orders.values() and 0 not in types.values()
+            for delta in divisors(mn) + [q, 2 * mn]:
+                assert orders.get(delta, 0) == \
+                    count_by_order_reference(m, n, delta), (m, n, delta)
+            keys = [TypeKey(A, B) for A in divisors(math.gcd(m, n))
+                    for B in divisors(mn // A) if B % A == 0]
+            for key in keys + [TypeKey(1, q), TypeKey(q, q), TypeKey(1, 2 * mn)]:
+                assert types.get(key, 0) == \
+                    count_by_type_reference(m, n, key), (m, n, key)
+            assert set(orders) <= set(divisors(mn)) and set(types) <= set(keys)
 
 
 # --- count_cyclic ---------------------------------------------------------------
@@ -198,9 +221,10 @@ def test_count_cyclic_by_order_examples():
 
 def test_count_cyclic_by_order_equals_type_slice():
     for m, n in [(12, 18), (8, 8), (6, 15), (1, 16)]:
+        types = count_by_type(m, n)
         for delta in divisors(m * n):
             assert count_cyclic_by_order(m, n, delta) == \
-                count_by_type(m, n, TypeKey(1, delta))
+                types.get(TypeKey(1, delta), 0)
 
 
 # --- multiplicativity -----------------------------------------------------------

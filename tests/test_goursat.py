@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from ranktwo import (
     ElementSet,
     GoursatTuple,
-    count_total,
     describe,
     enumerate_tuples,
     find_tuple,
     materialize,
 )
+from ranktwo.counting import count_total
 from ranktwo.goursat import (
     UNITS_HEAD,
     NotASubgroupError,
