@@ -4,6 +4,12 @@ Subcommands: count, table, enumerate, figure, verify.  Output formats are
 plain (default), json, and csv.  Exit codes: 0 success, 2 usage or domain
 error, 3 verification mismatch.
 
+`COMMANDS` is the one declaration of each command's positionals and
+options.  A canonical argv (the command, its positionals, then options by
+their exact names) is parsed straight from it; any other argv, help
+included, goes to the argparse parser `build_parser` makes from the same
+table.  argparse is imported only then.
+
 Every number argument passes `_positive`, which refuses a value below 1 or
 past 64 bits before any output.  Every value written is an int or a fixed
 token, so output is f-string rows that need no quoting, written as they
@@ -16,11 +22,12 @@ verify imports `json` itself, so no other command loads it.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import signal
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import counting, goursat, oracle
 from .arith import check_nat
@@ -358,63 +365,139 @@ def cmd_verify(args) -> int:
 
 # --- entry point ---------------------------------------------------------
 
+class _Option(NamedTuple):
+    """One option of a command, named `--<dest>`.  kind is the value it
+    takes: "flag" (none, True when given), "str", "int" or "pair" (a list of
+    two strings).  help and metavar are for argparse's help text alone."""
+
+    kind: str
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    metavar: tuple | None = None
+
+
+class _Command(NamedTuple):
+    """One command: its handler, its help line, its positionals (all given,
+    or, when optional, none) and its options by name, in help order."""
+
+    func: object
+    help: str
+    positionals: tuple
+    options: dict
+    optional: bool = False
+
+
+_FORMAT = {"--format": _Option("str", "plain", choices=("plain", "json", "csv"))}
+
+# The one declaration of the command line.  `_parse_canonical` parses from
+# it, and `build_parser` builds the argparse parser from it.
+COMMANDS = {
+    "count": _Command(cmd_count, "subgroup counts", ("m", "n"), {
+        **_FORMAT,
+        "--order": _Option("str", help="count only subgroups of this order"),
+        "--type": _Option("str", help="count only subgroups isomorphic to Z_A x Z_B (A,B)"),
+        "--cyclic": _Option("flag", False, help="count only cyclic subgroups"),
+    }),
+    "table": _Command(cmd_table, "full aggregate table", ("m", "n"), _FORMAT),
+    "enumerate": _Command(cmd_enumerate, "list every subgroup", ("m", "n"), {
+        **_FORMAT,
+        "--limit": _Option("int", help="stop after this many subgroups"),
+    }),
+    "figure": _Command(cmd_figure, "lattice-point grid of one subgroup",
+                       ("m", "n", "a", "b", "c", "d", "ell"), _FORMAT),
+    "verify": _Command(cmd_verify, "cross-check against brute force", ("m", "n"), {
+        **_FORMAT,
+        "--range": _Option("pair", metavar=("M_MAX", "N_MAX"),
+                           help="check every pair 1..M_MAX x 1..N_MAX"),
+        "--bound": _Option("int", oracle.DEFAULT_BOUND,
+                           help=f"max m*n for brute force, at most {oracle.MAX_BOUND} "
+                                "(default %(default)s)"),
+    }, optional=True),
+}
+
+
+def _parse_canonical(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, for a canonical
+    argv: a command, its positionals, then options by their exact names,
+    each followed by its value or values.  No word but an option name may
+    start with "-".  Any other argv gives None: argparse then parses it
+    (abbreviations, --opt=value, interleaved positionals, negative values),
+    refuses it, or prints help."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = dict.fromkeys(command.positionals)
+    i = 1
+    if not (command.optional and (len(argv) == 1 or argv[1].startswith("-"))):
+        i += len(values)
+        if len(argv) < i:
+            return None
+        for name, word in zip(command.positionals, argv[1:i]):
+            if word.startswith("-"):
+                return None
+            values[name] = word
+    for name, option in command.options.items():
+        values[name[2:]] = option.default
+    while i < len(argv):
+        option = command.options.get(argv[i])
+        if option is None:
+            return None
+        dest = argv[i][2:]
+        if option.kind == "flag":
+            values[dest] = True
+            i += 1
+            continue
+        width = 2 if option.kind == "pair" else 1
+        words = argv[i + 1:i + 1 + width]
+        if len(words) < width or any(word.startswith("-") for word in words):
+            return None
+        if option.kind == "pair":
+            value = list(words)
+        else:
+            value = words[0]
+            if option.kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[dest] = value
+        i += 1 + width
+    return SimpleNamespace(command=argv[0], func=command.func, **values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parsing leaves it unchanged."""
+    """The CLI's argparse parser, built from `COMMANDS` once per process;
+    parsing leaves it unchanged.  It parses what `_parse_canonical` does
+    not, and is the reference that parse is tested against."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ranktwo",
         description="Enumerate, classify, and count the subgroups of Z_m x Z_n.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-
-    p = sub.add_parser("count", parents=[fmt], help="subgroup counts")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("--order", help="count only subgroups of this order")
-    p.add_argument("--type", help="count only subgroups isomorphic to Z_A x Z_B (A,B)")
-    p.add_argument("--cyclic", action="store_true", help="count only cyclic subgroups")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("table", parents=[fmt], help="full aggregate table")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("enumerate", parents=[fmt], help="list every subgroup")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("--limit", type=int, help="stop after this many subgroups")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("figure", parents=[fmt], help="lattice-point grid of one subgroup")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("d")
-    p.add_argument("ell")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("verify", parents=[fmt], help="cross-check against brute force")
-    p.add_argument("m", nargs="?")
-    p.add_argument("n", nargs="?")
-    p.add_argument("--range", nargs=2, metavar=("M_MAX", "N_MAX"),
-                   help="check every pair 1..M_MAX x 1..N_MAX")
-    p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND,
-                   help=f"max m*n for brute force, at most {oracle.MAX_BOUND} "
-                        "(default %(default)s)")
-    p.set_defaults(func=cmd_verify)
-
+    kinds = {"flag": {"action": "store_true"}, "str": {}, "int": {"type": int},
+             "pair": {"nargs": 2}}
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            p.add_argument(positional, **({"nargs": "?"} if command.optional else {}))
+        for option_name, option in command.options.items():
+            kwargs = {key: value for key, value in option._asdict().items()
+                      if key != "kind" and value is not None}
+            p.add_argument(option_name, **kinds[option.kind], **kwargs)
+        p.set_defaults(func=command.func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_canonical(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, OverflowError) as exc:

@@ -208,16 +208,20 @@ def _table_rows(m: int, n: int) -> tuple[int, int, list, list]:
     Orders and (u, v) multiply prime by prime, so no key is reached twice;
     zero-count rows never arise.  At each prime every local row, in ascending
     order, scales the whole list; scaling keeps the order, so each local row
-    gives one ascending run, and one sort merges the runs.  Refuses m*n past
-    64 bits.  The total is formed and checked for overflow first; no count by
-    order or by type exceeds it, so their products need no check of their own.
+    gives one ascending run, and one sort merges the runs.  The local tables
+    are multiplied smallest first: at each prime the old list is held next to
+    the new one, so the peak is lowest when the largest local table comes
+    last.  Refuses m*n past 64 bits.  The total is formed and checked for
+    overflow first; no count by order or by type exceeds it, so their
+    products need no check of their own.
     """
     check_nat(m, "m")
     check_nat(n, "n")
     check_nat(m * n, "m*n")
-    local_tables = [
-        (p, local_table(p, alpha, beta)) for p, (alpha, beta) in _exponents(m, n).items()
-    ]
+    local_tables = sorted(
+        ((p, local_table(p, alpha, beta)) for p, (alpha, beta) in _exponents(m, n).items()),
+        key=lambda item: len(item[1]),
+    )
     total = cyclic = 1
     for _, local in local_tables:
         total = checked_mul(total, sum(local.values()))

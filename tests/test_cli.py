@@ -264,10 +264,11 @@ def test_table_at_the_top_of_the_64_bit_range_is_pinned():
 
 # Peak RSS of `table 3491888400 3491888400` in a fresh process, as
 # ru_maxrss of the children of a fresh parent (KiB on Linux).  It measured
-# 66.6 MB in every format on a 2-vCPU x86 host (Python 3.11), against
-# 86.6 MB when the table was built as a dict with a TypeKey per type.  The
-# CI workflow runs the same script.
-TOP_TABLE_RSS_MB = 73
+# 59.0 MB in every format on a 2-vCPU x86 host (Python 3.11) with the local
+# tables multiplied smallest first, against 66.5 MB in ascending prime order
+# and 86.6 MB when the table was built as a dict with a TypeKey per type.
+# The CI workflow runs the same script.
+TOP_TABLE_RSS_MB = 65
 TOP_TABLE_RSS_SCRIPT = """\
 import resource, subprocess, sys
 for fmt in ("plain", "json", "csv"):
@@ -1025,17 +1026,121 @@ def test_a_second_call_builds_no_parser(capsys, monkeypatch):
     assert built == []
 
 
+# Argvs in the canonical form: the command, its positionals, then options by
+# their exact names.  Each is parsed from the option table alone.
+CANONICAL_ARGVS = [
+    ["count", "12", "18", "--format", "json"],
+    ["count", "12", "18", "--format", "json", "--type", "2,18"],
+    ["count", "12", "18", "--order", "6", "--format", "json"],
+    ["count", "12", "18", "--cyclic"],
+    ["table", "12", "18", "--format", "csv"],
+    ["enumerate", "12", "18", "--limit", "3"],
+    ["figure", "12", "18", "6", "2", "18", "6", "1", "--format", "json"],
+    ["verify", "2", "2"],
+    ["verify", "--range", "3", "3", "--bound", "4", "--format", "csv"],
+]
+
+
+def test_a_canonical_argv_builds_no_parser_in_a_fresh_process():
+    # with argparse never imported, no ArgumentParser can have been built
+    proc = python("-c", "import sys, ranktwo.cli; "
+                  f"codes = [ranktwo.cli.main(argv) for argv in {CANONICAL_ARGVS!r}]; "
+                  "assert not set(codes) - {0}, codes; "
+                  "assert 'argparse' not in sys.modules")
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+
+
+def _golden_lines(name, count=None):
+    return "".join((GOLDEN / name).read_text().splitlines(True)[:count])
+
+
+# Spellings the option table leaves to argparse, with the output they had when
+# argparse parsed every argv.
+OTHER_SPELLINGS = [
+    (["count", "12", "18", "--format=json"], _golden_lines("count_12_18.json"), 0),
+    (["count", "12", "18", "--form", "json"], _golden_lines("count_12_18.json"), 0),
+    (["count", "--cyclic", "12", "18"], "48\n", 0),
+    (["enumerate", "12", "18", "--limit=2"], _golden_lines("enumerate_12_18.txt", 2), 0),
+    (["verify", "--bound", "-5", "--range", "3", "3"], "", 2),
+    (["table", "12"], "", 2),
+    (["-h"], _golden_lines("help.txt"), 0),
+    *[([command, "-h"], _golden_lines(f"help_{command}.txt"), 0)
+      for command in ("count", "table", "enumerate", "figure", "verify")],
+]
+
+
+@pytest.mark.parametrize("argv, expected, code", OTHER_SPELLINGS,
+                         ids=[" ".join(argv) for argv, _, _ in OTHER_SPELLINGS])
+def test_other_spellings_keep_their_output(capsys, monkeypatch, argv, expected, code):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse printed help or refused the argv
+        got = exc.code
+    assert (got, capsys.readouterr().out) == (code, expected)
+
+
+# Each command's number of positionals and its options with the number of
+# words each takes.
+ARGV_SHAPES = {
+    "count": (2, {"--format": 1, "--order": 1, "--type": 1, "--cyclic": 0}),
+    "table": (2, {"--format": 1}),
+    "enumerate": (2, {"--format": 1, "--limit": 1}),
+    "figure": (7, {"--format": 1}),
+    "verify": (2, {"--format": 1, "--range": 2, "--bound": 1}),
+}
+ODD_WORDS = ["-h", "--help", "--form", "--format=json", "--limit=2", "--cyclic", "plain",
+             "json", "csv", "xml", "-1", "-5", "5_0", " 7", "", "-", "--", "2,18", "x",
+             "count", "verify"]
+NUMBER_WORDS = st.integers(0, 20).map(str)
+PARSE_WORDS = st.one_of(*[NUMBER_WORDS] * 4, st.sampled_from(ODD_WORDS))
+FORMAT_WORDS = st.one_of(st.sampled_from(["plain", "json", "csv", "xml"]), PARSE_WORDS)
+
+
+@st.composite
+def parse_argvs(draw):
+    """An argv near the canonical form: a command, about its number of
+    positionals, then options, mostly its own, with about the number of
+    words each takes; or any list of words."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(st.one_of(PARSE_WORDS, st.sampled_from(list(ARGV_SHAPES))),
+                             max_size=8))
+    command = draw(st.sampled_from(list(ARGV_SHAPES)))
+    npos, options = ARGV_SHAPES[command]
+    npos = draw(st.sampled_from([npos] * 6 + [npos - 1, npos + 1, 0]))
+    argv = [command] + draw(st.lists(PARSE_WORDS, min_size=npos, max_size=npos))
+    names = st.sampled_from(list(options))
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.one_of(*[names] * 6, st.sampled_from(ODD_WORDS)))
+        width = options.get(name, 1) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        words = FORMAT_WORDS if name == "--format" else PARSE_WORDS
+        argv += [name] + draw(st.lists(words, min_size=max(width, 0), max_size=max(width, 0)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(parse_argvs())
+def test_the_table_parse_agrees_with_argparse(argv):
+    fast = cli._parse_canonical(argv)
+    if fast is not None:
+        with contextlib.redirect_stderr(io.StringIO()):  # a refusal fails the test
+            reference = cli.build_parser().parse_args(argv)
+        assert vars(fast) == vars(reference)
+
+
 # --- start-up --------------------------------------------------------------
 
 # The check the CI job runs against the installed package, one line.
 IMPORT_GUARD = ("import sys, ranktwo.cli; "
-                "assert not {'dataclasses', 'inspect', 'json'} & set(sys.modules); "
+                "assert not {'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules); "
                 "assert {'ranktwo.goursat', 'ranktwo.oracle'} <= set(sys.modules)")
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
     # dataclasses pulls in inspect, ast and dis: about 10 ms of every one-shot
-    # call.  verify imports json itself, and still works after the import.
+    # call.  argparse is imported only to parse an argv the option table does
+    # not.  verify imports json itself, and still works after the import.
     proc = python("-c", IMPORT_GUARD + "; sys.exit(ranktwo.cli.main(['verify', '2', '2', "
                   "'--format', 'json']))")
     out, err = proc.communicate(timeout=60)
