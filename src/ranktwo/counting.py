@@ -5,13 +5,13 @@ local table of Z_{p^alpha} x Z_{p^beta} from the (a, b, c, d, l)
 parametrization, multiplied over the primes of m*n (`local_table`,
 `count_subgroups`, `_table_rows`).  `_table_rows` forms the full table as
 ascending row lists, which the CLI's `table` writes as they are and
-`build_table` reads into dicts.  The paper's divisor-sum identities stay
-here as the independent side `verify` compares the brute-force oracle
-with: the total and cyclic counts as single sums, and the by-type sum as
-one walk that gives every type at once, whose orders are the by-order
-counts.  Its other forms (the per-value by-order and by-type sums, gcd
-double sums, prime-power closed forms) are tested statements in the test
-suite, not library functions.  Everything is exact integer arithmetic.
+`build_table` reads into dicts.  The paper's divisor sums stay here as
+the independent side `verify` checks the brute-force oracle against: the
+total and cyclic counts as single sums, and the by-type sum as one walk
+giving every type at once.  `count_by_order` sums that walk by order;
+`verify` skips it, as a type fixes its order.  The paper's other forms
+(per-value sums, gcd double sums, prime-power closed forms) are tested
+statements in the test suite.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def count_by_type(m: int, n: int) -> dict[TypeKey, int]:
 
 def count_by_order(m: int, n: int) -> dict[int, int]:
     """Number of subgroups of each order, read off `count_by_type`: a
-    subgroup of type Z_A x Z_B has order A*B.  No count is 0."""
+    subgroup of type Z_A x Z_B has order A*B.  No count is 0.  `verify`
+    does not call it: its by-type diff settles the orders."""
     counts: dict[int, int] = {}
     for (A, B), cnt in count_by_type(m, n).items():
         counts[A * B] = counts.get(A * B, 0) + cnt

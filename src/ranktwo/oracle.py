@@ -17,16 +17,17 @@ C1 + k*g2 with k prime to the index, and a marked g2 is skipped.  A subgroup
 of order N and exponent v is Z_{N/v} x Z_v, and the exponent of <g1, g2> is
 lcm(ord g1, ord g2), so each subgroup is typed as it is formed: a cyclic
 one's exponent is its order, and C1 + <g2> has exponent lcm(|C1|, |C2|).
-`classify` types an explicit set on its own: it proves the set closed by
-growing a greedy span inside it, the lowest point not yet spanned spans with
-it, and a point outside the set refutes closure at once.  Neither uses any
-result of the tuple enumeration or the closed-form counters.
+`classify` types an explicit set on its own: it grows a greedy span inside
+it, the lowest point not yet spanned spans with it, and the set is closed
+exactly when no span leaves it.  Neither uses any result of the tuple
+enumeration or the closed-form counters.
 
-`cross_check` tallies the brute-force subgroups' orders and types into one
-table of facts (total, by order, by type, cyclic) and diffs it key by key
-against the same table from the paper's divisor sums, each of which gives
-its whole fact in one call, and from `build_table`, then checks, as masks,
-that the tuple enumeration names each brute-force subgroup exactly once.
+`cross_check` tallies the brute-force subgroups' total, types, cyclic
+count and orders, a subgroup of order N and exponent v as type (N/v, v),
+and diffs them key by key against the paper's total, by-type and cyclic
+sums and against `build_table`; a type fixes its order, so orders are
+diffed against `build_table` only.  It then checks, as masks, that the
+tuple enumeration names each brute-force subgroup exactly once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .counting import (
     TypeKey,
     build_table,
-    count_by_order,
     count_by_type,
     count_cyclic,
     count_total,
@@ -105,22 +105,15 @@ class _Grid:
             s = ((s << k) & self.full) | (s >> (self.size - k))
         return s
 
-    def span(self, h: int, sx: int, sy: int, outside: int = 0) -> int:
+    def span(self, h: int, sx: int, sy: int) -> int:
         """h + <(sx, sy)> for a subgroup h.  h + {0..k-1}*(sx, sy) doubles to
         h + {0..2k-1}*(sx, sy) until the shift by k*(sx, sy) adds nothing:
-        then k*(sx, sy), and so every multiple, is in the span.  Raises
-        ValueError when a new point lies in outside."""
+        then k*(sx, sy), and so every multiple, is in the span."""
         m, n = self.m, self.n
-        k, tx, ty = 1, sx, sy
+        tx, ty = sx, sy
         while (block := self.shift(h, tx, ty)) != h:
-            if escaped := block & outside:
-                px, py = divmod(_lowest(escaped), n)
-                raise ValueError(
-                    f"not a subgroup: {(px, py)} = ({(px - tx) % m},{(py - ty) % n})"
-                    f" + {k}*({sx},{sy}) escapes the set"
-                )
             h |= block
-            k, tx, ty = 2 * k, 2 * tx % m, 2 * ty % n
+            tx, ty = 2 * tx % m, 2 * ty % n
         return h
 
     def encode(self, points: Iterable[tuple[int, int]]) -> int:
@@ -210,10 +203,11 @@ def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
 
     Grows a span H from {(0, 0)}: the lowest point p of s outside H makes H
     the span H + <p>, the cosets H + k*p up to the first multiple of p in
-    H.  A new point outside s refutes closure; if none appears, H = s, so s
-    is a subgroup generated by the points that grew H, and its exponent is
-    the lcm of their orders.  The ambient group may have at most MAX_BOUND
-    points; a larger one raises BoundExceededError.
+    H.  Each span is a sum of points of s, so a span that leaves s refutes
+    closure; if none does, H = s, so s is a subgroup generated by the
+    points that grew H, and its exponent is the lcm of their orders.  The
+    ambient group may have at most MAX_BOUND points; a larger one raises
+    BoundExceededError.
     """
     m, n = s.ambient
     g = _Grid(m, n)
@@ -225,7 +219,10 @@ def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
     exponent = 1
     while rest := mask ^ span:
         sx, sy = divmod(_lowest(rest), n)
-        span = g.span(span, sx, sy, outside)
+        span = g.span(span, sx, sy)
+        if escaped := span & outside:
+            raise ValueError(f"not a subgroup: {divmod(_lowest(escaped), n)} is a sum"
+                             f" of its points but lies outside it")
         exponent = lcm(exponent, _element_order(sx, sy, m, n))
     order = mask.bit_count()
     return order, exponent, TypeKey(order // exponent, exponent)
@@ -235,38 +232,38 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
     """Diff brute force's counts against the paper's and build_table's, and
     its subgroups against the tuple enumeration's.
 
-    Each side gives four facts, total, by order, by type and cyclic, as
-    dicts; a scalar sits under the key None.  The oracle and paper sides
-    hold no zero counts.  Each fact is compared over the union of both
-    sides' keys, so a key on one side only, even with a count of 0, is a
-    mismatch with None on the other.
+    Each fact is a dict; a scalar sits under the key None.  The oracle and
+    paper sides hold no zero counts.  Each fact is compared over the union
+    of both sides' keys, so a key on one side only, even with a count of 0,
+    is a mismatch with None on the other.
     """
     g = _Grid(m, n, bound)
     brute = _brute_masks(g)
 
-    by_order = Counter(s.bit_count() for s in brute)
-    by_type = Counter(TypeKey(s.bit_count() // v, v) for s, v in brute.items())
-    cyclic = sum(cnt for key, cnt in by_type.items() if key.A == 1)
-    oracle_facts = ({None: len(brute)}, by_order, by_type, {None: cyclic})
-
-    paper = ({None: count_total(m, n)}, count_by_order(m, n), count_by_type(m, n),
-             {None: count_cyclic(m, n)})
+    # type (N/v, v) has order N, so by type settles by order with the paper
+    by_type = Counter((s.bit_count() // v, v) for s, v in brute.items())
+    total = {None: len(brute)}
+    cyclic = {None: sum(cnt for (A, _), cnt in by_type.items() if A == 1)}
     # the per-prime engine behind `table` and `count`
     table = build_table(m, n)
-    engine = ({None: table.total}, table.by_order, table.by_type,
-              {None: table.cyclic_total})
+    facts = [
+        ("total", total, {None: count_total(m, n)}),
+        ("by_type", by_type, count_by_type(m, n)),
+        ("cyclic", cyclic, {None: count_cyclic(m, n)}),
+        ("table_total", total, {None: table.total}),
+        ("table_by_order", Counter(s.bit_count() for s in brute), table.by_order),
+        ("table_by_type", by_type, table.by_type),
+        ("table_cyclic", cyclic, {None: table.cyclic_total}),
+    ]
 
     mismatches = []
-    for prefix, facts in (("", paper), ("table_", engine)):
-        for name, expected, actual in zip(("total", "by_order", "by_type", "cyclic"),
-                                          oracle_facts, facts):
-            for key in sorted(expected.keys() | actual.keys()):
-                if expected.get(key) != actual.get(key):
-                    # verify prints a key with str(); a TypeKey would print as
-                    # TypeKey(A=.., B=..), so type keys are reported as plain (A, B)
-                    shown = tuple(key) if isinstance(key, TypeKey) else key
-                    mismatches.append((prefix + name, shown, expected.get(key),
-                                       actual.get(key)))
+    for side, expected, actual in facts:
+        for key in sorted(expected.keys() | actual.keys()):
+            if expected.get(key) != actual.get(key):
+                # verify prints a key with str(); a TypeKey would print as
+                # TypeKey(A=.., B=..), so type keys are reported as plain (A, B)
+                shown = tuple(key) if isinstance(key, TypeKey) else key
+                mismatches.append((side, shown, expected.get(key), actual.get(key)))
 
     # the tuples and the subgroups must be in bijection: each mask named once
     named = Counter(g.encode(materialize(m, n, t).elements)

@@ -91,8 +91,9 @@ def test_classify_full_klein():
 
 
 def test_classify_rejects_non_closed():
+    # <(1, 0)> leaves the set first at (2, 0)
     s = ElementSet.from_iterable(4, 4, [(0, 0), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(2, 0\)"):
         classify(s)
 
 
@@ -180,6 +181,23 @@ def test_cross_check_sweep_12():
         for n in range(1, 13):
             report = cross_check(m, n)
             assert report.ok, (m, n, report.mismatches)
+
+
+def test_cross_check_walks_the_by_type_sum_once(monkeypatch):
+    # the by-type tally settles the paper's by-order counts, so no second walk
+    from ranktwo import counting
+
+    calls = []
+    count_by_type = counting.count_by_type
+
+    def counted(m, n):
+        calls.append((m, n))
+        return count_by_type(m, n)
+
+    monkeypatch.setattr(counting, "count_by_type", counted)
+    monkeypatch.setattr(oracle, "count_by_type", counted)
+    assert cross_check(12, 18).ok
+    assert calls == [(12, 18)]
 
 
 def test_cross_check_flags_a_wrong_table(monkeypatch):
