@@ -2,7 +2,8 @@
 
 Subcommands: count, table, enumerate, figure, verify.  Output formats are
 plain (default), json, and csv.  Exit codes: 0 success, 2 usage or domain
-error, 3 verification mismatch.
+error, 3 verification mismatch.  Every refusal is a ValueError or
+OverflowError, which `main` prints as `error: <message>` with exit code 2.
 
 `COMMANDS` is the one declaration of each command's positionals and
 options.  A canonical argv (the command, its positionals, then options by
@@ -38,22 +39,18 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 
-class CliError(Exception):
-    """Invalid arguments or domain violation; maps to exit code 2."""
-
-
 def _positive(value: str, name: str) -> int:
     try:
         n = int(value)
     except ValueError:
-        raise CliError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return check_nat(n, name)
 
 
 def _parse_type(spec: str) -> TypeKey:
     parts = spec.split(",")
     if len(parts) != 2:
-        raise CliError(f"--type expects A,B, got {spec!r}")
+        raise ValueError(f"--type expects A,B, got {spec!r}")
     return TypeKey(_positive(parts[0], "A"), _positive(parts[1], "B"))
 
 
@@ -75,7 +72,7 @@ def cmd_count(args) -> int:
     n = _positive(args.n, "n")
     filters = [args.order is not None, args.type is not None, args.cyclic]
     if sum(filters) > 1:
-        raise CliError("at most one of --order, --type, --cyclic may be given")
+        raise ValueError("at most one of --order, --type, --cyclic may be given")
     order = key = None
     if args.order is not None:
         order = _positive(args.order, "order")
@@ -188,7 +185,7 @@ def cmd_enumerate(args) -> int:
     n = _positive(args.n, "n")
     limit = args.limit
     if limit is not None and limit < 0:
-        raise CliError(f"--limit must be 0 or more, got {limit}")
+        raise ValueError(f"--limit must be 0 or more, got {limit}")
     if limit is None or limit > MAX_RECORDS:
         # the listing has min(limit, count) records, so the group is counted
         # only when limit alone does not keep it within MAX_RECORDS; a count
@@ -199,9 +196,9 @@ def cmd_enumerate(args) -> int:
             limit = None  # 2^64 subgroups or more
         if limit is None or limit > MAX_RECORDS:
             size = "at least 2^64" if limit is None else limit
-            raise CliError(f"Z_{m} x Z_{n} has {size} subgroups, more than the "
-                           f"{MAX_RECORDS} records enumerate lists at once; "
-                           f"pass --limit N with N <= {MAX_RECORDS}")
+            raise ValueError(f"Z_{m} x Z_{n} has {size} subgroups, more than the "
+                             f"{MAX_RECORDS} records enumerate lists at once; "
+                             f"pass --limit N with N <= {MAX_RECORDS}")
     block_text = {"plain": _plain_block, "json": _json_block,
                   "csv": _csv_block}[args.format]
     records = itertools.islice(_records(m, n, block_text), limit)
@@ -243,7 +240,7 @@ def cmd_figure(args) -> int:
     m = _positive(args.m, "m")
     n = _positive(args.n, "n")
     if m > FIGURE_MAX_M or n > FIGURE_MAX_N:
-        raise CliError(
+        raise ValueError(
             f"figure rendering limited to m <= {FIGURE_MAX_M}, n <= {FIGURE_MAX_N}"
         )
     t = goursat.GoursatTuple(
@@ -251,10 +248,7 @@ def cmd_figure(args) -> int:
         _positive(args.c, "c"), _positive(args.d, "d"),
         _positive(args.ell, "ell"),
     )
-    try:
-        s = goursat.materialize(m, n, t)
-    except goursat.TupleMembershipError as exc:
-        raise CliError(str(exc))
+    s = goursat.materialize(m, n, t)
 
     if args.format == "json":
         points = ", ".join(f"[{x}, {y}]" for x, y in s.elements)
@@ -296,23 +290,23 @@ def cmd_verify(args) -> int:
 
     bound = args.bound
     if not 1 <= bound <= oracle.MAX_BOUND:
-        raise CliError(f"--bound must be in 1..{oracle.MAX_BOUND}, got {bound}")
+        raise ValueError(f"--bound must be in 1..{oracle.MAX_BOUND}, got {bound}")
     if args.range is not None:
         if args.m is not None:
-            raise CliError("verify takes either m n or --range M N, not both")
+            raise ValueError("verify takes either m n or --range M N, not both")
         m_max = _positive(args.range[0], "m_max")
         n_max = _positive(args.range[1], "n_max")
         size = m_max * n_max
         if size > MAX_RANGE_PAIRS:
-            raise CliError(f"--range sweeps at most {MAX_RANGE_PAIRS} pairs, got "
-                           f"{m_max} x {n_max} = {size}")
+            raise ValueError(f"--range sweeps at most {MAX_RANGE_PAIRS} pairs, got "
+                             f"{m_max} x {n_max} = {size}")
         work = _range_work(m_max, n_max, bound)
         if work > MAX_RANGE_WORK:
-            raise CliError(f"--range checks at most {MAX_RANGE_WORK} in the sum of "
-                           f"m*n over the pairs within --bound {bound}, got {work}")
+            raise ValueError(f"--range checks at most {MAX_RANGE_WORK} in the sum of "
+                             f"m*n over the pairs within --bound {bound}, got {work}")
         pairs = itertools.product(range(1, m_max + 1), range(1, n_max + 1))
     elif args.m is None or args.n is None:
-        raise CliError("verify needs either m n or --range M N")
+        raise ValueError("verify needs either m n or --range M N")
     else:
         pairs, size = [(_positive(args.m, "m"), _positive(args.n, "n"))], 1
 
@@ -329,7 +323,7 @@ def cmd_verify(args) -> int:
             r = oracle.cross_check(m, n, bound)
         except oracle.BoundExceededError as exc:
             if size == 1:
-                raise CliError(str(exc))
+                raise
             if fmt == "json":
                 skipped.append([m, n])
                 continue
@@ -500,7 +494,7 @@ def main(argv=None) -> int:
     args = _parse_canonical(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

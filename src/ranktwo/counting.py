@@ -7,11 +7,12 @@ parametrization, multiplied over the primes of m*n (`local_table`,
 ascending row lists, which the CLI's `table` writes as they are and
 `build_table` reads into dicts.  The paper's divisor sums stay here as
 the independent side `verify` checks the brute-force oracle against: the
-total and cyclic counts as single sums, and the by-type sum as one walk
-giving every type at once.  `count_by_order` sums that walk by order;
-`verify` skips it, as a type fixes its order.  The paper's other forms
-(per-value sums, gcd double sums, prime-power closed forms) are tested
-statements in the test suite.  Everything is exact integer arithmetic.
+total and cyclic counts as one sum over t | gcd(m, n) with two weights,
+and the by-type sum as one walk giving every type at once.
+`count_by_order` sums that walk by order; `verify` skips it, as a type
+fixes its order.  The paper's other forms (per-value sums, gcd double
+sums, prime-power closed forms) are tested statements in the test suite.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -69,16 +70,21 @@ class SubgroupTable(NamedTuple):
     noncyclic_total: int
 
 
-def count_total(m: int, n: int) -> int:
-    """Total number of subgroups, as sum of phi(t)*tau(m/t)*tau(n/t) over t | gcd(m,n)."""
+def _gcd_sum(m: int, n: int, weight) -> int:
+    """The sum of weight(t)*tau(m/t)*tau(n/t) over t | gcd(m, n)."""
     check_nat(m, "m")
     check_nat(n, "n")
     total = 0
     for t in divisors(gcd(m, n)):
         total = checked_add(
-            total, checked_mul(euler_phi(t), checked_mul(tau(m // t), tau(n // t)))
+            total, checked_mul(weight(t), checked_mul(tau(m // t), tau(n // t)))
         )
     return total
+
+
+def count_total(m: int, n: int) -> int:
+    """Total number of subgroups, as sum of phi(t)*tau(m/t)*tau(n/t) over t | gcd(m,n)."""
+    return _gcd_sum(m, n, euler_phi)
 
 
 def count_by_type(m: int, n: int) -> dict[TypeKey, int]:
@@ -115,15 +121,7 @@ def count_by_order(m: int, n: int) -> dict[int, int]:
 
 def count_cyclic(m: int, n: int) -> int:
     """Number of cyclic subgroups, as sum of (mu*phi)(t)*tau(m/t)*tau(n/t)."""
-    check_nat(m, "m")
-    check_nat(n, "n")
-    total = 0
-    for t in divisors(gcd(m, n)):
-        mu_star_phi = dirichlet(mobius, euler_phi, t)
-        total = checked_add(
-            total, checked_mul(mu_star_phi, checked_mul(tau(m // t), tau(n // t)))
-        )
-    return total
+    return _gcd_sum(m, n, lambda t: dirichlet(mobius, euler_phi, t))
 
 
 def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int], int]:

@@ -267,7 +267,6 @@ def test_table_at_the_top_of_the_64_bit_range_is_pinned():
 # 59.0 MB in every format on a 2-vCPU x86 host (Python 3.11) with the local
 # tables multiplied smallest first, against 66.5 MB in ascending prime order
 # and 86.6 MB when the table was built as a dict with a TypeKey per type.
-# The CI workflow runs the same script.
 TOP_TABLE_RSS_MB = 65
 TOP_TABLE_RSS_SCRIPT = """\
 import resource, subprocess, sys
@@ -297,6 +296,16 @@ def test_enumerate_12_18_line_count(capsys):
     code, out, _ = run(capsys, "enumerate", "12", "18")
     assert code == 0
     assert len(out.splitlines()) == 80
+
+
+def test_enumerate_720_720_record_count(capsys):
+    # one line per subgroup, below csv's header, or one json record each
+    for fmt, count in [("plain", lambda out: len(out.splitlines())),
+                       ("csv", lambda out: len(out.splitlines()) - 1),
+                       ("json", lambda out: len(json.loads(out)["subgroups"]))]:
+        code, out, _ = run(capsys, "enumerate", "720", "720", "--format", fmt)
+        assert code == 0
+        assert count(out) == 15272, fmt
 
 
 def test_enumerate_trivial(capsys):
@@ -457,7 +466,9 @@ def run_cold_within_a_second(capsys, *argv):
 
 
 @pytest.mark.parametrize("m, expected", [(999999937 * 1000000007, 4),
-                                         (LARGEST_64_BIT_PRIME, 2)])
+                                         (LARGEST_64_BIT_PRIME, 2),
+                                         # the slowest 64-bit input for rho
+                                         (4294967279 * 4294967291, 4)])
 def test_count_64_bit_cyclic_group_is_fast(capsys, m, expected):
     # Z_m x Z_1 is cyclic of order m: one subgroup per divisor of m
     code, out, _ = run_cold_within_a_second(capsys, "count", str(m), "1")
@@ -1061,6 +1072,8 @@ OTHER_SPELLINGS = [
     (["count", "12", "18", "--format=json"], _golden_lines("count_12_18.json"), 0),
     (["count", "12", "18", "--form", "json"], _golden_lines("count_12_18.json"), 0),
     (["count", "--cyclic", "12", "18"], "48\n", 0),
+    (["count", "--cyclic", "12", "18", "--format", "json"],
+     _golden_lines("count_12_18_cyclic.json"), 0),
     (["enumerate", "12", "18", "--limit=2"], _golden_lines("enumerate_12_18.txt", 2), 0),
     (["verify", "--bound", "-5", "--range", "3", "3"], "", 2),
     (["table", "12"], "", 2),
@@ -1131,7 +1144,7 @@ def test_the_table_parse_agrees_with_argparse(argv):
 
 # --- start-up --------------------------------------------------------------
 
-# The check the CI job runs against the installed package, one line.
+# Which modules importing the CLI loads, checked in a fresh process.
 IMPORT_GUARD = ("import sys, ranktwo.cli; "
                 "assert not {'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules); "
                 "assert {'ranktwo.goursat', 'ranktwo.oracle'} <= set(sys.modules)")

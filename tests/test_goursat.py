@@ -448,7 +448,7 @@ def test_find_tuple_names_a_hand_built_set_or_refuses_it(case):
 
 
 def test_find_tuple_large_full_groups_are_fast():
-    for m, n in [(64, 64), (48, 96)]:
+    for m, n in [(64, 64), (48, 96), (1, 4096)]:
         s = ElementSet.from_iterable(m, n, [(x, y) for x in range(m) for y in range(n)])
         start = time.perf_counter()
         assert find_tuple(m, n, s) == GoursatTuple(m, m, n, n, 1)
