@@ -1,7 +1,8 @@
 """Exact integer arithmetic kernel.
 
 Prime factorization, and from it divisors, Euler's totient, the Mobius
-function and the divisor count; Dirichlet convolution.
+function and the divisor count; Dirichlet convolution.  Only factorizations
+are cached: divisors builds a fresh list from one on each call.
 
 Factorization takes one gcd of n with the product of the primes below a
 small fixed bound, divides out just the primes that gcd shows, tests what is
@@ -95,18 +96,14 @@ def checked_add(a: int, b: int) -> int:
     return r
 
 
-@lru_cache(maxsize=65536)
-def _divisors(n: int) -> tuple[int, ...]:
-    divs = [1]
-    for p, e in _factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in strictly increasing order."""
     check_nat(n)
-    return list(_divisors(n))
+    divs = [1]
+    for p, e in _factorize(n):
+        divs += [d * p**k for k in range(1, e + 1) for d in divs]
+    divs.sort()
+    return divs
 
 
 def _is_prime_large(n: int) -> bool:

@@ -143,9 +143,9 @@ def cmd_table(args) -> int:
 
 # A listing past this many records, with or without --limit, is refused up
 # front.  A listing at the cap takes about 15 s when its blocks hold many
-# units (Z_p x Z_p, p the largest 64-bit prime) and 25-28 s, about 0.4 M
-# records/s and 92 MB peak in every format, when each block holds one
-# (Z_M x Z_M, M = 18401055938125660800) (2-vCPU x86, Python 3.11).
+# units (Z_p x Z_p, p the largest 64-bit prime), and 15-24 s with host load
+# (0.4-0.65 M records/s) and 33 MB peak in every format when each block holds
+# one (Z_M x Z_M, M = 18401055938125660800) (2-vCPU x86, Python 3.11).
 MAX_RECORDS = 10**7
 
 

@@ -99,11 +99,13 @@ def count_by_type(m: int, n: int) -> dict[TypeKey, int]:
     check_nat(n, "n")
     new = tuple.__new__
     counts: dict[TypeKey, int] = {}
+    divs_n = divisors(n)
+    divs_g = {g: divisors(g) for g in divisors(gcd(m, n))}  # one list per gcd(i, j)
     for i in divisors(m):
-        for j in divisors(n):
+        for j in divs_n:
             g = gcd(i, j)
             B = i // g * j
-            for A in divisors(g):
+            for A in divs_g[g]:
                 key = new(TypeKey, (A, B))  # A | g | B
                 counts[key] = checked_add(counts.get(key, 0), euler_phi(g // A))
     return counts

@@ -6,18 +6,18 @@ This module enumerates those tuples, materializes the subgroup each one
 names, classifies it (order, exponent, invariant factors, cyclicity), and
 inverts the correspondence for an explicitly given subgroup.
 
-The tuples are walked one block at a time.  A block is one (a, b, c, d):
-the walk takes a | m and e = a/b dividing gcd(a, n), e descending so that
-b = a/e ascends, then c = e*d for each d | n/e, so c ascends.  It visits
-only blocks that exist: with n = 1 it takes tau(m) steps, not one per
-divisor of each a | m.  A block's tuples are the (a, b, c, d, l) with l a
-unit mod e.  The units of e are listed once per (a, b), up to UNITS_HEAD
-of them, and that head serves every block of the pair; any further units
-are produced lazily, so e may be a 64-bit prime and memory holds one head
-at a time.  The subgroup's order a*d and its invariant factors gcd(b, d)
-and lcm(a, c) depend only on the block, as does every generator coordinate
-except the first generator's y = l*n/c mod n, so a caller that lists many
-tuples computes them once per block.
+The tuples are walked one block at a time.  A block is one (a, b, c, d): for
+each a | m the walk takes the divisors e of n that divide a, e descending so
+that b = a/e ascends, then the divisors c of n that e divides, c ascending,
+with d = c/e.  It lists the divisors of m and of n once each and visits only
+blocks that exist: with n = 1 it takes tau(m) steps.  A block's tuples are
+the (a, b, c, d, l) with l a unit mod e.  The units of e are listed once per
+(a, b), up to UNITS_HEAD of them, and that head serves every block of the
+pair; any further units are produced lazily, so e may be a 64-bit prime and
+memory holds one head at a time.  The subgroup's order a*d and its invariant
+factors gcd(b, d) and lcm(a, c) depend only on the block, as does every
+generator coordinate except the first generator's y = l*n/c mod n, so a
+caller that lists many tuples computes them once per block.
 """
 
 from __future__ import annotations
@@ -145,8 +145,6 @@ def check_membership(m: int, n: int, t: GoursatTuple) -> None:
         raise TupleMembershipError(f"ell = {ell} exceeds a/b = {e}")
     if gcd(ell, e) != 1:
         raise TupleMembershipError(f"ell = {ell} is not coprime to a/b = {e}")
-    # derived identity; cannot fail once the above hold
-    assert gcd(b, d) * lcm(a, c) == a * d
 
 
 # The walk lists the units mod e = a/b once per (a, b), up to this many; the
@@ -161,20 +159,22 @@ def _units(e: int, start: int = 1) -> Iterator[int]:
 
 
 def _blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int, Iterable[int]]]:
-    """Yield (a, b, c, d, units) for a | m, b = a/e for e | gcd(a, n), and
-    c = e*d for d | n/e, lexicographic in (a, b, c).  units iterates the
-    block's l, the units mod e ascending: the head of (a, b), then the rest
-    from _units."""
+    """Yield (a, b, c, d, units) for a | m, b = a/e for each e | n dividing
+    a, and c | n divisible by e with d = c/e, lexicographic in (a, b, c).
+    units iterates the block's l, the units mod e ascending: the head of
+    (a, b), then the rest from _units."""
+    divs_n = divisors(n)
     for a in divisors(m):
-        for e in reversed(divisors(gcd(a, n))):
+        for e in reversed([e for e in divs_n if a % e == 0]):
             b = a // e
             head = list(islice(_units(e), UNITS_HEAD))
             # a head shorter than UNITS_HEAD holds every unit; after a full
             # one the rest follow lazily, in each block
             more = len(head) == UNITS_HEAD
-            for d in divisors(n // e):
-                units = chain(head, _units(e, head[-1] + 1)) if more else head
-                yield a, b, e * d, d, units
+            for c in divs_n:
+                if c % e == 0:
+                    units = chain(head, _units(e, head[-1] + 1)) if more else head
+                    yield a, b, c, c // e, units
 
 
 def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:

@@ -26,8 +26,9 @@ def count_by_order_reference(m: int, n: int, delta: int) -> int:
     check_nat(n, "n")
     check_nat(delta, "delta")
     total = 0
+    divs_n = divisors(gcd(n, delta))
     for i in divisors(gcd(m, delta)):
-        for j in divisors(gcd(n, delta)):
+        for j in divs_n:
             if (i * j) % delta == 0:
                 total = checked_add(total, euler_phi(i * j // delta))
     return total
@@ -44,8 +45,9 @@ def count_by_type_reference(m: int, n: int, key: TypeKey) -> int:
         return 0
     ab = A * B
     total = 0
+    divs_n = divisors(n)
     for i in divisors(m):
-        for j in divisors(n):
+        for j in divs_n:
             if (i * j) % ab == 0 and lcm(i, j) == B:
                 total = checked_add(total, euler_phi(i * j // ab))
     return total
@@ -56,8 +58,9 @@ def count_total_reference(m: int, n: int) -> int:
     check_nat(m, "m")
     check_nat(n, "n")
     total = 0
+    divs_n = divisors(n)
     for i in divisors(m):
-        for j in divisors(n):
+        for j in divs_n:
             total = checked_add(total, gcd(i, j))
     return total
 
@@ -105,8 +108,9 @@ def count_cyclic_reference(m: int, n: int) -> int:
     check_nat(m, "m")
     check_nat(n, "n")
     total = 0
+    divs_n = divisors(n)
     for i in divisors(m):
-        for j in divisors(n):
+        for j in divs_n:
             total = checked_add(total, euler_phi(gcd(i, j)))
     return total
 
@@ -117,8 +121,9 @@ def count_cyclic_by_order(m: int, n: int, delta: int) -> int:
     check_nat(n, "n")
     check_nat(delta, "delta")
     total = 0
+    divs_n = divisors(n)
     for i in divisors(m):
-        for j in divisors(n):
+        for j in divs_n:
             if lcm(i, j) == delta:
                 total = checked_add(total, euler_phi(gcd(i, j)))
     return total

@@ -5,6 +5,8 @@ asserted with a wall-clock timer.  Each criterion prints a single PASS
 line when it succeeds (run with `pytest -s` to see them).
 """
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -165,20 +167,21 @@ def test_criterion_7_multiplicativity():
     report(7, "counts factor over 200 random coprime decompositions")
 
 
-def test_criterion_8_cli_golden(capsys):
-    assert main(["table", "12", "18"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "table_12_18.txt").read_text()
+def cli_stdout(*argv):
+    """What main(argv) writes to stdout; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
 
-    assert main(["figure", "12", "18", "6", "2", "18", "6", "1"]) == 0
-    assert capsys.readouterr().out == \
+
+def test_criterion_8_cli_golden():
+    assert cli_stdout("table", "12", "18") == (GOLDEN / "table_12_18.txt").read_text()
+    assert cli_stdout("figure", "12", "18", "6", "2", "18", "6", "1") == \
         (GOLDEN / "figure_12_18_6_2_18_6_1.txt").read_text()
+    assert cli_stdout("verify", "12", "18") == (GOLDEN / "verify_12_18.txt").read_text()
 
-    assert main(["verify", "12", "18"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "verify_12_18.txt").read_text()
-
-    assert main(["table", "12", "18", "--format", "json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
+    obj = json.loads(cli_stdout("table", "12", "18", "--format", "json"))
     jsonschema.validate(obj, json.loads(SCHEMA.read_text()))
 
-    with capsys.disabled():
-        report(8, "CLI golden outputs match byte-for-byte; json validates")
+    report(8, "CLI golden outputs match byte-for-byte; json validates")

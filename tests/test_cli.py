@@ -308,6 +308,24 @@ def test_enumerate_720_720_record_count(capsys):
         assert count(out) == 15272, fmt
 
 
+def test_enumerate_lists_the_divisors_of_m_and_n_once_each(capsys, monkeypatch):
+    # the walk takes e and c from one list of the divisors of n, so a whole
+    # listing builds two divisor lists however many blocks it has
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return arith.divisors(k)
+
+    monkeypatch.setattr(goursat, "divisors", counted)
+    assert sum(1 for _ in enumerate_tuples(720, 720)) == 15272
+    assert len(calls) == 2
+    calls.clear()
+    code, out, _ = run(capsys, "enumerate", "720", "720")
+    assert code == 0 and len(out.splitlines()) == 15272
+    assert len(calls) == 2
+
+
 def test_enumerate_trivial(capsys):
     code, out, _ = run(capsys, "enumerate", "1", "1")
     assert code == 0
@@ -458,7 +476,6 @@ def test_enumerate_matches_the_validating_renderer(capsys, fmt, m, n, limit):
 
 def run_cold_within_a_second(capsys, *argv):
     arith._factorize.cache_clear()
-    arith._divisors.cache_clear()
     start = time.perf_counter()
     result = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0

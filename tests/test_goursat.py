@@ -484,6 +484,8 @@ def test_round_trip_and_laws():
                 # invariant-pair law
                 assert (d.invariants.A, d.invariants.B) == (
                     d.order // exponent, exponent)
+                # the paper's identity gcd(b, d) * lcm(a, c) = a*d
+                assert math.gcd(t.b, t.d) * math.lcm(t.a, t.c) == t.a * t.d
                 assert g % d.invariants.A == 0
                 # the two generators describe prints generate the subgroup
                 assert generated(m, n, d.generators) == set(s.elements)
