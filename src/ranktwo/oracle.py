@@ -9,14 +9,14 @@ span h + <s> of a subgroup h doubles h + {0..k-1}*s to h + {0..2k-1}*s
 until the shift by k*s adds nothing, so it takes about log2 of the index
 shifts.
 
-The ambient group has rank at most two, so every subgroup is C1 + C2 for two
-cyclic subgroups.  `brute_subgroups` spans each cyclic subgroup once from
-its lowest point, then forms C1 + <g2> for every pair where neither contains
-the other.  Each sum also marks the g2 that give it with C1, its cosets
-C1 + k*g2 with k prime to the index, and a marked g2 is skipped.  A subgroup
-of order N and exponent v is Z_{N/v} x Z_v, and the exponent of <g1, g2> is
-lcm(ord g1, ord g2), so each subgroup is typed as it is formed: a cyclic
-one's exponent is its order, and C1 + <g2> has exponent lcm(|C1|, |C2|).
+By the structure theorem for finite abelian groups, a cyclic subgroup of
+largest order is a direct summand, so every subgroup of this rank-two
+group is C1 + C2 with |C2| dividing |C1|, its exponent.  `brute_subgroups`
+spans each cyclic subgroup once from its lowest point and, largest order
+first, forms C1 + <g2> for each later g2 whose order divides |C1|.  Each
+sum also marks the g2 that give it with C1, its cosets C1 + k*g2 with k
+prime to the index, and a marked g2 is skipped.  So each subgroup is typed
+as it is formed, order N and exponent v as Z_{N/v} x Z_v.
 `classify` types an explicit set on its own: it grows a greedy span inside
 it, the lowest point not yet spanned spans with it, and the set is closed
 exactly when no span leaves it.  Neither uses any result of the tuple
@@ -36,13 +36,8 @@ from collections import Counter
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
-from .counting import (
-    TypeKey,
-    build_table,
-    count_by_type,
-    count_cyclic,
-    count_total,
-)
+from .counting import (TypeKey, build_table, count_by_type, count_cyclic,
+                       count_total)
 from .goursat import ElementSet, enumerate_tuples, materialize
 from .arith import check_nat
 
@@ -50,7 +45,7 @@ DEFAULT_BOUND = 400
 # Largest bound `verify --bound` accepts, and the largest group `classify`
 # takes.  Brute force holds every subgroup as an m*n-bit mask at once; at
 # m*n <= 4096 the pair with the most subgroups, Z_60 x Z_60 (720), takes
-# about 0.3 s of `verify 60 60` and 16 MB peak (2-vCPU x86, Python 3.11).
+# about 0.2 s of `verify 60 60` and 16 MB peak (2-vCPU x86, Python 3.11).
 MAX_BOUND = 4096
 
 
@@ -175,24 +170,22 @@ def _brute_masks(g: _Grid) -> dict[int, int]:
         unmarked ^= gens
         cyclics.append((gen, c, c.bit_count()))
 
-    # C1 + C2 for each pair where neither holds the other's generator; its
-    # exponent is lcm(|C1|, |C2|).  A g2 that generates an already formed
-    # C1 + <g2'> with C1 makes no new sum
+    # C1 + <g2> for each later g2 whose order divides |C1|: of two of equal
+    # order the first takes the second, and a marked g2 makes no new sum
+    cyclics.sort(key=lambda c: -c[2])
     found = {c: order for _, c, order in cyclics}
-    for i, (g1, c1, o1) in enumerate(cyclics):
+    for i, (_, c1, o1) in enumerate(cyclics):
         skip = c1
-        for g2, c2, o2 in cyclics[i + 1:]:
-            if skip >> g2 & 1 or c2 >> g1 & 1:
+        for g2, _, o2 in cyclics[i + 1:]:
+            if o1 % o2 or skip >> g2 & 1:
                 continue
             total, gens = _sum(g, c1, *divmod(g2, g.n))
             skip |= gens
-            found[total] = lcm(o1, o2)
+            found[total] = o1
     return found
 
 
-def brute_subgroups(
-    m: int, n: int, bound: int = DEFAULT_BOUND
-) -> set[ElementSet]:
+def brute_subgroups(m: int, n: int, bound: int = DEFAULT_BOUND) -> set[ElementSet]:
     """All subgroups of Z_m x Z_n as sums of two cyclic subgroups."""
     g = _Grid(m, n, bound)
     return {g.decode(s) for s in _brute_masks(g)}
@@ -207,10 +200,17 @@ def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
     closure; if none does, H = s, so s is a subgroup generated by the
     points that grew H, and its exponent is the lcm of their orders.  The
     ambient group may have at most MAX_BOUND points; a larger one raises
-    BoundExceededError.
+    BoundExceededError, and a point off the grid or listed twice ValueError.
     """
     m, n = s.ambient
     g = _Grid(m, n)
+    seen = set()
+    for p in s.elements:
+        if not (0 <= p[0] < m and 0 <= p[1] < n):
+            raise ValueError(f"{p} is not a point of Z_{m} x Z_{n}")
+        if p in seen:
+            raise ValueError(f"{p} is listed twice")
+        seen.add(p)
     mask = g.encode(s.elements)
     if not mask & 1:
         raise ValueError("not a subgroup: missing (0, 0)")

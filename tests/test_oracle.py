@@ -97,6 +97,18 @@ def test_classify_rejects_non_closed():
         classify(s)
 
 
+@pytest.mark.parametrize("m, n, pts, named", [
+    (2, 2, ((0, 0), (0, 1), (0, 2), (0, 3)), r"\(0, 2\)"),  # once read as all of Z_2 x Z_2
+    (2, 2, ((0, 0), (0, 2)), r"\(0, 2\)"),  # once read as <(1, 0)>
+    (2, 2, ((0, 0), (5, 5)), r"\(5, 5\)"),  # once an IndexError
+    (3, 3, ((0, 0), (0, -1), (0, -2)), r"\(0, -1\)"),  # once named (1, 2)
+    (2, 2, ((0, 0), (0, 1), (0, 1)), r"\(0, 1\) is listed twice"),
+])
+def test_classify_refuses_points_that_are_not_distinct_grid_points(m, n, pts, named):
+    with pytest.raises(ValueError, match=named):
+        classify(ElementSet((m, n), pts))
+
+
 def pairwise_classification(pts, m, n):
     """Order, exponent and type of pts by the pairwise closure check, or None."""
     if (0, 0) not in pts or not all(((x1 + x2) % m, (y1 + y2) % n) in pts
@@ -273,8 +285,26 @@ def test_cross_check_flags_a_tuple_named_twice(monkeypatch):
         ("element_sets", None, "each named once", "orders named more than once [36]")]
 
 
+@pytest.mark.parametrize("m, n, sums", [(12, 18, 113), (60, 60, 2524)])
+def test_brute_force_pairs_each_cyclic_subgroup_with_the_orders_dividing_its_own(
+        monkeypatch, m, n, sums):
+    # a call with h != 1 is a pair sum C1 + <(x, y)>; ord (x, y) divides |C1|
+    pairs = []
+    real = oracle._sum
+
+    def counted(g, h, x, y):
+        if h != 1:
+            pairs.append((h.bit_count(), oracle._element_order(x, y, m, n)))
+        return real(g, h, x, y)
+
+    monkeypatch.setattr(oracle, "_sum", counted)
+    oracle._brute_masks(oracle._Grid(m, n))
+    assert len(pairs) == sums
+    assert all(o1 % o2 == 0 for o1, o2 in pairs)
+
+
 def test_brute_force_types_match_classify():
-    # _brute_masks types each subgroup from the cyclic pair that formed it;
+    # _brute_masks types C1 + <g2> by |C1|, the largest order in it;
     # classify types the decoded set by its own greedy span
     for m in range(1, 257):
         for n in range(1, 256 // m + 1):
