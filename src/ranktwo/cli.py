@@ -265,12 +265,12 @@ def cmd_figure(args) -> int:
 # --- verify --------------------------------------------------------------
 
 # A --range sweep covers at most this many pairs, refused up front past it.
-# At about 250k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take about 4 s.
+# At about 450k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take about 2.3 s.
 MAX_RANGE_PAIRS = 10**6
 # A --range sweep checks at most this much work, the sum of m*n over the
-# pairs within the bound, refused up front past it.  Brute force runs at
-# about 2 us per unit (2-vCPU x86, Python 3.11), so the largest legal sweep
-# takes about 3 s; --range 48 48 --bound 4096 (1,382,976) is legal and
+# pairs within the bound, refused up front past it.  A sweep runs at about
+# 1 us per unit (2-vCPU x86, Python 3.11), so the largest legal sweep
+# takes about 1.5 s; --range 48 48 --bound 4096 (1,382,976) is legal and
 # --range 49 49 --bound 4096 (1,500,625) is not.
 MAX_RANGE_WORK = 1_500_000
 

@@ -23,7 +23,7 @@ caller that lists many tuples computes them once per block.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
@@ -210,20 +210,41 @@ def describe(m: int, n: int, t: GoursatTuple) -> SubgroupDescriptor:
     )
 
 
+# materialize lists at most this many points, refusing a larger subgroup
+# before it allocates: at about 96 bytes a point, 2^18 points take about
+# 26 MB.  figure's largest group, 40 x 60, has 2,400.
+MAX_POINTS = 1 << 18
+
+
+def _rows(m: int, n: int, t: GoursatTuple) -> tuple[int, int, list[int]]:
+    """The rows of the subgroup t names, for a valid t: the x step m/a, the
+    y step n/d, and the least y of each of the first e = a/b rows.
+
+    Row i, at x = i*m/a, is the coset i*l*n/c + <n/d> of Z_n, so it starts
+    at i*l*n/c mod n/d.  Since e*l*n/c = l*n/d, row i + e starts where row
+    i does: the a rows repeat these e starts b times.
+    """
+    step = n // t.d
+    ystep = t.ell * (n // t.c)
+    return m // t.a, step, [i * ystep % step for i in range(t.a // t.b)]
+
+
 def materialize(m: int, n: int, t: GoursatTuple) -> ElementSet:
     """The explicit element set {(i*m/a, i*ell*n/c + j*n/d)} mod (m, n).
 
-    Row i, at x = i*m/a < m, is the coset i*ell*n/c + <n/d> of Z_n, so it is
-    listed from its least member, i*ell*n/c mod n/d, in steps of n/d below n.
-    The a rows come out in ascending x, so the points are reduced, distinct
-    and sorted as formed.
+    Each row, from _rows, is listed from its least member in steps of n/d
+    below n.  The a rows come out in ascending x, so the points are
+    reduced, distinct and sorted as formed.  A subgroup of more than
+    MAX_POINTS points is refused with a ValueError.
     """
     check_membership(m, n, t)
-    xstep = m // t.a
-    ystep = t.ell * (n // t.c)
-    step = n // t.d
-    return ElementSet((m, n), tuple([(i * xstep, y) for i in range(t.a)
-                                     for y in range(i * ystep % step, n, step)]))
+    if t.a * t.d > MAX_POINTS:
+        raise ValueError(f"materialize lists at most MAX_POINTS = {MAX_POINTS} points,"
+                         f" got a subgroup of order {t.a * t.d}")
+    xstep, step, starts = _rows(m, n, t)
+    rows = cycle([range(y0, n, step) for y0 in starts])
+    return ElementSet((m, n), tuple([(x, y) for x in range(0, m, xstep)
+                                     for y in next(rows)]))
 
 
 def find_tuple(m: int, n: int, s: ElementSet) -> GoursatTuple:
@@ -234,7 +255,8 @@ def find_tuple(m: int, n: int, s: ElementSet) -> GoursatTuple:
     of row x = m/a, y1 = (l mod a/b)*n/c; since gcd(l, a/b) = 1,
     gcd(y1, n/d) = n/c, which gives c, then b = a*d/c and l.  One comparison
     with materialize proves s is that subgroup; an unsorted, duplicated or
-    off-ambient s fails it and raises NotASubgroupError.
+    off-ambient s fails it and raises NotASubgroupError.  A subgroup of
+    more than MAX_POINTS points is refused by materialize's ValueError.
     """
     check_nat(m, "m")
     check_nat(n, "n")

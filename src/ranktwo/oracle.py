@@ -27,7 +27,13 @@ count and orders, a subgroup of order N and exponent v as type (N/v, v),
 and diffs them key by key against the paper's total, by-type and cyclic
 sums and against `build_table`; a type fixes its order, so orders are
 diffed against `build_table` only.  It then checks, as masks, that the
-tuple enumeration names each brute-force subgroup exactly once.
+tuple enumeration names each brute-force subgroup exactly once.  Each
+tuple's mask is formed from its rows (`goursat._rows`, the paper's
+{(i*m/a, i*l*n/c + j*n/d)} row by row), not from listed points, so the
+expansion of rows into points is checked by the tests (the row masks
+against the encoded `materialize` sets, `materialize` against the
+paper's formula, and the `find_tuple` round trips), not by `cross_check`.
+`_Grid.encode` serves only `classify`.
 """
 
 from __future__ import annotations
@@ -38,14 +44,14 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .counting import (TypeKey, build_table, count_by_type, count_cyclic,
                        count_total)
-from .goursat import ElementSet, enumerate_tuples, materialize
+from .goursat import ElementSet, GoursatTuple, _rows, enumerate_tuples
 from .arith import check_nat
 
 DEFAULT_BOUND = 400
 # Largest bound `verify --bound` accepts, and the largest group `classify`
 # takes.  Brute force holds every subgroup as an m*n-bit mask at once; at
 # m*n <= 4096 the pair with the most subgroups, Z_60 x Z_60 (720), takes
-# about 0.2 s of `verify 60 60` and 16 MB peak (2-vCPU x86, Python 3.11).
+# about 0.1 s of `verify 60 60` and 16 MB peak (2-vCPU x86, Python 3.11).
 MAX_BOUND = 4096
 
 
@@ -127,6 +133,24 @@ class _Grid:
             pts.append(divmod(p, n))
             p = bits.find("1", p + 1)
         return ElementSet((self.m, n), tuple(pts))
+
+
+def _mask(g: _Grid, t: GoursatTuple) -> int:
+    """The subgroup the valid tuple t names, as a mask, formed from its rows.
+
+    A row is a column mask, a bit every n/d below n, shifted to the row's x
+    and its least y.  The first e = a/b rows, P = e*(m/a)*n bits, repeat b
+    times to fill the grid, so one multiply by the comb with a bit every P
+    bits repeats them; the copies' bits are disjoint, so nothing carries.
+    """
+    n = g.n
+    xstep, step, starts = _rows(g.m, n, t)
+    col = ((1 << n) - 1) // ((1 << step) - 1)
+    row = xstep * n
+    head = 0
+    for i, y0 in enumerate(starts):
+        head |= col << (i * row + y0)
+    return head * (g.full // ((1 << len(starts) * row) - 1))
 
 
 def _lowest(s: int) -> int:
@@ -266,8 +290,7 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
                 mismatches.append((side, shown, expected.get(key), actual.get(key)))
 
     # the tuples and the subgroups must be in bijection: each mask named once
-    named = Counter(g.encode(materialize(m, n, t).elements)
-                    for t in enumerate_tuples(m, n))
+    named = Counter(_mask(g, t) for t in enumerate_tuples(m, n))
     if named.keys() != brute.keys():
         missing = sorted(s.bit_count() for s in brute.keys() - named.keys())
         extra = sorted(s.bit_count() for s in named.keys() - brute.keys())

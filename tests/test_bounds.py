@@ -35,21 +35,21 @@ CHILD_AS_BYTES = 2 << 30
 # (argv, exit code, budget in seconds[, stdout line count]), slowest first,
 # so that the two lanes finish together
 ROWS = [
-    # MAX_RANGE_PAIRS pairs, each skipped at --bound 1: about 4 s
+    # MAX_RANGE_PAIRS pairs, each skipped at --bound 1: about 2.3 s
     (["verify", "--range", "1000", "1000", "--bound", "1"], 0, 60),
-    # the largest square sweep within MAX_RANGE_WORK: about 3 s
-    (["verify", "--range", "48", "48", "--bound", str(oracle.MAX_BOUND)], 0, 90),
-    # the first 10^6 records of SMOOTH64 x SMOOTH64: about 3 s
+    # the first 10^6 records of SMOOTH64 x SMOOTH64: about 2.1 s
     (["enumerate", str(SMOOTH64), str(SMOOTH64), "--limit", "1000000"], 0, 30, 1000000),
-    # 529,920 records, each block one unit: about 3 s
+    # 529,920 records, each block one unit: about 1.6 s
     (["enumerate", str(SMOOTH64), "2", "--limit", "1000000"], 0, 30, 529920),
-    # tau(SMOOTH64) records, one per block: about 1.5 s
+    # the largest square sweep within MAX_RANGE_WORK: about 1.5 s
+    (["verify", "--range", "48", "48", "--bound", str(oracle.MAX_BOUND)], 0, 90),
+    # tau(SMOOTH64) records, one per block: about 0.8 s
     (["enumerate", str(SMOOTH64), "1"], 0, 15, 184320),
-    # the largest table in 64 bits: about 0.5 s in each format
+    # the largest table in 64 bits: about 0.3-0.4 s in each format
     (["table", "3491888400", "3491888400"], 0, 10, 295251),
     (["table", "3491888400", "3491888400", "--format", "json"], 0, 10, 1),
     (["table", "3491888400", "3491888400", "--format", "csv"], 0, 10, 295249),
-    # every pair of 1..24 x 1..24, all within MAX_BOUND: about 0.5 s
+    # every pair of 1..24 x 1..24, all within MAX_BOUND: about 0.3 s
     (["verify", "--range", "24", "24", "--bound", str(oracle.MAX_BOUND)], 0, 20),
     (["verify", "60", "60", "--bound", str(oracle.MAX_BOUND)], 0, 10),
     (["count", str(P64), str(P64)], 0, 5),

@@ -771,6 +771,21 @@ def test_verify_range_golden(capsys, fmt, ext):
     assert out == (GOLDEN / f"verify_range_3_3_bound_4.{ext}").read_text()
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("plain", "789ca5cd386ceb93deed2b5262518f878107221b5b8fbcf588e2ac23dc8a1fff"),
+    ("json", "173f007b47f1828eca9136b7516d44bdf699be052f8a5da48b7e715174819a0d"),
+    ("csv", "5468200a86971f2a92196b3491b1d49dee30d5a3a5633123eb3937fbee4807ba"),
+], ids=["plain", "json", "csv"])
+def test_verify_range_30_30_output_is_pinned(capsys, fmt, digest):
+    # all 900 pairs up to Z_30 x Z_30, each brute-forced; the digests pin
+    # every line, so a change to how cross_check forms its masks cannot
+    # move a subgroup count or the summary
+    code, out, _ = run(capsys, "verify", "--range", "30", "30", "--bound",
+                       str(MAX_BOUND), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_refuses_a_pair_together_with_range(capsys, monkeypatch):
     from ranktwo import oracle
 

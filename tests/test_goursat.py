@@ -21,6 +21,7 @@ from ranktwo import (
 )
 from ranktwo.counting import count_total
 from ranktwo.goursat import (
+    MAX_POINTS,
     UNITS_HEAD,
     NotASubgroupError,
     SubgroupDescriptor,
@@ -30,6 +31,7 @@ from ranktwo.goursat import (
 from ranktwo.oracle import brute_subgroups
 
 from paper_forms import offset_form
+from test_bounds import P64
 
 
 def element_order(x, y, m, n):
@@ -252,6 +254,39 @@ def test_materialize_equals_the_paper_formula_on_edge_shapes(m, n, tuples):
     # tuples None: every tuple of the group
     for t in tuples or enumerate_tuples(m, n):
         assert_materialize_is_the_paper_formula(m, n, t)
+
+
+@pytest.mark.parametrize("m, n, t", [
+    (MAX_POINTS, 1, GoursatTuple(MAX_POINTS, MAX_POINTS, 1, 1, 1)),
+    (1, MAX_POINTS, GoursatTuple(1, 1, MAX_POINTS, MAX_POINTS, 1)),
+])
+def test_materialize_lists_a_subgroup_of_max_points(m, n, t):
+    s = materialize(m, n, t)
+    assert len(s) == MAX_POINTS
+    assert s.elements[-1] == (m - 1, n - 1)
+
+
+@pytest.mark.parametrize("m, n, t", [
+    (MAX_POINTS + 1, 1, GoursatTuple(MAX_POINTS + 1, MAX_POINTS + 1, 1, 1, 1)),
+    (1, MAX_POINTS + 1, GoursatTuple(1, 1, MAX_POINTS + 1, MAX_POINTS + 1, 1)),
+    # order a*d = 2 * (MAX_POINTS / 2 + 1), both factors within the bound
+    (2, MAX_POINTS + 2, GoursatTuple(2, 1, MAX_POINTS + 2, MAX_POINTS // 2 + 1, 1)),
+    (P64, 1, GoursatTuple(P64, P64, 1, 1, 1)),
+    (P64, P64, GoursatTuple(P64, 1, P64, 1, 1)),
+])
+def test_materialize_refuses_a_subgroup_past_max_points(m, n, t):
+    # refused up front: listing P64 points would take all memory
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        materialize(m, n, t)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_find_tuple_refuses_a_subgroup_past_max_points():
+    m = MAX_POINTS + 1
+    s = ElementSet((m, 1), tuple((x, 0) for x in range(m)))
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        find_tuple(m, 1, s)
 
 
 # --- value types ------------------------------------------------------------

@@ -247,25 +247,27 @@ def test_cross_check_flags_a_wrong_table(monkeypatch):
 
 def test_cross_check_flags_wrong_element_sets(monkeypatch):
     # the counts all agree, so only the element sets can show the fault
-    def drop_a_point(m, n, t):
-        s = materialize(m, n, t)
-        if t == GoursatTuple(6, 2, 18, 6, 1):
-            return ElementSet((m, n), s.elements[:-1])
-        return s
+    real = oracle._mask
 
-    monkeypatch.setattr(oracle, "materialize", drop_a_point)
+    def drop_a_point(g, t):
+        mask = real(g, t)
+        if t == GoursatTuple(6, 2, 18, 6, 1):
+            return mask ^ 1 << mask.bit_length() - 1
+        return mask
+
+    monkeypatch.setattr(oracle, "_mask", drop_a_point)
     assert cross_check(12, 18).mismatches == [
         ("element_sets", None, "missing orders [36]", "extra orders [35]")]
 
     # a wrong subgroup of the right order: {0} x <6> comes back as <4> x {0},
     # which (3, 3, 1, 1, 1) also names, so nothing is extra but <4> x {0}
     # is named twice
-    def swap_a_subgroup(m, n, t):
+    def swap_a_subgroup(g, t):
         if t == GoursatTuple(1, 1, 3, 3, 1):
             t = GoursatTuple(3, 3, 1, 1, 1)
-        return materialize(m, n, t)
+        return real(g, t)
 
-    monkeypatch.setattr(oracle, "materialize", swap_a_subgroup)
+    monkeypatch.setattr(oracle, "_mask", swap_a_subgroup)
     assert cross_check(12, 18).mismatches == [
         ("element_sets", None, "missing orders [3]", "extra orders []"),
         ("element_sets", None, "each named once", "orders named more than once [3]")]
@@ -313,6 +315,25 @@ def test_brute_force_types_match_classify():
                 order = mask.bit_count()
                 assert classify(g.decode(mask)) == \
                     (order, exponent, TypeKey(order // exponent, exponent)), (m, n)
+
+
+def assert_row_masks_are_the_encoded_materialized_sets(m, n):
+    # cross_check names each tuple's subgroup by _mask, formed from _rows;
+    # this pins it to the points materialize lists from the same rows
+    g = oracle._Grid(m, n, oracle.MAX_BOUND)
+    for t in enumerate_tuples(m, n):
+        assert oracle._mask(g, t) == g.encode(materialize(m, n, t).elements), (m, n, t)
+
+
+def test_row_mask_is_the_encoded_materialized_set_up_to_256():
+    for m in range(1, 257):
+        for n in range(1, 256 // m + 1):
+            assert_row_masks_are_the_encoded_materialized_sets(m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4096), (4096, 1), (2, 2048), (64, 64)])
+def test_row_mask_is_the_encoded_materialized_set_on_edge_shapes(m, n):
+    assert_row_masks_are_the_encoded_materialized_sets(m, n)
 
 
 def test_oracle_equals_enumeration_up_to_256():
