@@ -1,8 +1,8 @@
 """Exact integer arithmetic kernel.
 
-Prime factorization, and from it divisors, Euler's totient, the Mobius
-function and the divisor count; Dirichlet convolution.  Only factorizations
-are cached: divisors builds a fresh list from one on each call.
+Prime factorization, and from it divisors, Euler's totient and the divisor
+count.  Only factorizations are cached: divisors builds a fresh list from one
+on each call.
 
 Factorization takes one gcd of n with the product of the primes below a
 small fixed bound, divides out just the primes that gcd shows, tests what is
@@ -28,7 +28,6 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, prod
-from typing import Callable
 
 U64_MAX = 2**64 - 1
 
@@ -68,8 +67,6 @@ _MR_TIERS = (
     (3825123056546413051, 9),
 )
 
-ArithmeticFn = Callable[[int], int]
-
 
 def check_nat(n: int, name: str = "n") -> int:
     """Validate that n is a positive integer in 64-bit range."""
@@ -106,7 +103,7 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def _is_prime_large(n: int) -> bool:
+def _miller_rabin(n: int) -> bool:
     """Deterministic Miller-Rabin for odd n > 37, on as many bases as n needs."""
     k = len(_MR_BASES)
     for psi, bases in _MR_TIERS:
@@ -164,7 +161,7 @@ def _rho(n: int) -> int:
 
 def _large_prime_factors(n: int) -> list[int]:
     """Prime factors of n > 1, with multiplicity; n is prime or has no prime below _TRIAL_BOUND."""
-    if n < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime_large(n):
+    if n < _TRIAL_BOUND * _TRIAL_BOUND or _miller_rabin(n):
         return [n]
     d = _rho(n)
     return _large_prime_factors(d) + _large_prime_factors(n // d)
@@ -201,28 +198,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return list(_factorize(n))
 
 
-def is_prime(n: int) -> bool:
-    check_nat(n)
-    return n > 1 and _factorize(n) == ((n, 1),)
-
-
 def euler_phi(n: int) -> int:
     """Euler's totient: the count of 1 <= k <= n coprime to n."""
     result = check_nat(n)
     for p, _ in _factorize(n):
         result -= result // p
     return result
-
-
-def mobius(n: int) -> int:
-    """Mobius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
-    check_nat(n)
-    sign = 1
-    for _, e in _factorize(n):
-        if e > 1:
-            return 0
-        sign = -sign
-    return sign
 
 
 def tau(n: int) -> int:
@@ -232,13 +213,3 @@ def tau(n: int) -> int:
     for _, e in _factorize(n):
         result *= e + 1
     return result
-
-
-def dirichlet(f: ArithmeticFn, g: ArithmeticFn, n: int) -> int:
-    """Dirichlet convolution (f * g)(n) = sum over d | n of f(d) g(n/d)."""
-    check_nat(n)
-    total = 0
-    for d in divisors(n):
-        total = checked_add(total, checked_mul(f(d), g(n // d)))
-    return total
-

@@ -48,8 +48,8 @@ from .goursat import ElementSet, GoursatTuple, _rows, enumerate_tuples
 from .arith import check_nat
 
 DEFAULT_BOUND = 400
-# Largest bound `verify --bound` accepts, and the largest group `classify`
-# takes.  Brute force holds every subgroup as an m*n-bit mask at once; at
+# Largest bound `verify --bound`, `brute_subgroups` and `cross_check` accept,
+# and the largest group `classify` takes.  Brute force holds every subgroup as an m*n-bit mask at once; at
 # m*n <= 4096 the pair with the most subgroups, Z_60 x Z_60 (720), takes
 # about 0.1 s of `verify 60 60` and 16 MB peak (2-vCPU x86, Python 3.11).
 MAX_BOUND = 4096
@@ -76,14 +76,16 @@ def _element_order(x: int, y: int, m: int, n: int) -> int:
 
 
 class _Grid:
-    """Z_m x Z_n, m*n <= bound, with a set of points as an int: bit x*n + y
-    is (x, y)."""
+    """Z_m x Z_n, m*n <= bound <= MAX_BOUND, with a set of points as an int:
+    bit x*n + y is (x, y)."""
 
     __slots__ = ("m", "n", "size", "full", "rows", "_low")
 
     def __init__(self, m: int, n: int, bound: int = MAX_BOUND) -> None:
         check_nat(m, "m")
         check_nat(n, "n")
+        if bound > MAX_BOUND:
+            raise BoundExceededError(f"bound {bound} exceeds MAX_BOUND = {MAX_BOUND}")
         if m * n > bound:
             raise BoundExceededError(f"m*n = {m * n} exceeds bound {bound}")
         self.m, self.n, self.size = m, n, m * n
@@ -210,7 +212,10 @@ def _brute_masks(g: _Grid) -> dict[int, int]:
 
 
 def brute_subgroups(m: int, n: int, bound: int = DEFAULT_BOUND) -> set[ElementSet]:
-    """All subgroups of Z_m x Z_n as sums of two cyclic subgroups."""
+    """All subgroups of Z_m x Z_n as sums of two cyclic subgroups.
+
+    m*n past bound, or a bound past MAX_BOUND, raises BoundExceededError.
+    """
     g = _Grid(m, n, bound)
     return {g.decode(s) for s in _brute_masks(g)}
 
@@ -259,7 +264,8 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
     Each fact is a dict; a scalar sits under the key None.  The oracle and
     paper sides hold no zero counts.  Each fact is compared over the union
     of both sides' keys, so a key on one side only, even with a count of 0,
-    is a mismatch with None on the other.
+    is a mismatch with None on the other.  m*n past bound, or a bound past
+    MAX_BOUND, raises BoundExceededError.
     """
     g = _Grid(m, n, bound)
     brute = _brute_masks(g)

@@ -13,7 +13,7 @@ brute-force oracle.
 
 from math import gcd, lcm
 
-from ranktwo.arith import check_nat, checked_add, divisors, euler_phi, is_prime
+from ranktwo.arith import check_nat, checked_add, divisors, euler_phi, factorize
 from ranktwo.counting import TypeKey
 from ranktwo.goursat import GoursatTuple, check_membership
 
@@ -67,7 +67,7 @@ def count_total_reference(m: int, n: int) -> int:
 
 def count_total_prime_power(p: int, a: int, b: int) -> int:
     """Total subgroup count of Z_{p^a} x Z_{p^b}, 1 <= a <= b, in closed form."""
-    if not is_prime(p):
+    if factorize(p) != [(p, 1)]:
         raise ValueError(f"p = {p} is not prime")
     check_nat(a, "a")
     check_nat(b, "b")
@@ -86,7 +86,7 @@ def count_total_prime_power(p: int, a: int, b: int) -> int:
 
 def count_by_order_prime_power(p: int, a: int, b: int, c: int) -> int:
     """Number of order-p^c subgroups of Z_{p^a} x Z_{p^b}, 1 <= a <= b, 0 <= c <= a+b."""
-    if not is_prime(p):
+    if factorize(p) != [(p, 1)]:
         raise ValueError(f"p = {p} is not prime")
     check_nat(a, "a")
     check_nat(b, "b")

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ranktwo import arith
+from ranktwo.counting import _mu_phi
 
 
 # --- independent oracles ---------------------------------------------------
@@ -27,15 +28,17 @@ def phi_by_count(n):
 
 
 def mobius_by_definition(n):
-    # squarefree check and prime counting by scan
+    # 0 if a square divides n, else (-1)^(number of primes), by trial division
     count = 0
-    for p in range(2, n + 1):
+    p = 2
+    while p * p <= n:
         if n % p == 0:
-            if (n // p) % p == 0:
+            n //= p
+            if n % p == 0:
                 return 0
-            if all(p % q for q in range(2, p)):
-                count += 1
-    return (-1) ** count
+            count += 1
+        p += 1
+    return (-1) ** (count + (n > 1))
 
 
 # --- divisors ----------------------------------------------------------------
@@ -80,47 +83,47 @@ def test_phi_divisor_sum_identity():
         assert sum(arith.euler_phi(d) for d in arith.divisors(n)) == n
 
 
-# --- mobius -------------------------------------------------------------------
-
-def test_mobius_examples():
-    assert arith.mobius(1) == 1
-    assert arith.mobius(6) == mobius_by_definition(6) == 1
-    assert arith.mobius(12) == mobius_by_definition(12) == 0
-
-
-def test_mobius_rejects_zero():
-    with pytest.raises(ValueError):
-        arith.mobius(0)
-
-
-def test_mobius_divisor_sum_identity():
-    # sum of mu(d) over d | n is 1 for n=1, else 0
-    for n in range(1, 10001):
-        total = sum(arith.mobius(d) for d in arith.divisors(n))
-        assert total == (1 if n == 1 else 0)
-
-
-# --- dirichlet ------------------------------------------------------------------
+# --- the cyclic weight mu*phi, a Dirichlet convolution -----------------------
+# count_cyclic reads (mu*phi)(t) prime by prime off t's factorization; these
+# pin it against the convolution sum over d | t of mu(d) phi(t/d).
 
 def test_dirichlet_examples():
-    assert arith.dirichlet(arith.mobius, arith.euler_phi, 1) == 1
+    assert _mu_phi(1) == 1
     # mu(1)phi(4) + mu(2)phi(2) + mu(4)phi(1) = 2 - 1 + 0
-    assert arith.dirichlet(arith.mobius, arith.euler_phi, 4) == 1
+    assert _mu_phi(4) == 1
     # mu(1)phi(6) + mu(2)phi(3) + mu(3)phi(2) + mu(6)phi(1) = 2 - 2 - 1 + 1
-    assert arith.dirichlet(arith.mobius, arith.euler_phi, 6) == 0
+    assert _mu_phi(6) == 0
 
 
 def test_dirichlet_agrees_with_double_loop():
-    for n in range(1, 1001):
-        expected = sum(
-            arith.mobius(d) * arith.euler_phi(n // d) for d in divisors_by_scan(n)
-        )
-        assert arith.dirichlet(arith.mobius, arith.euler_phi, n) == expected
+    limit = 10**4
+    mu = [0] + [mobius_by_definition(d) for d in range(1, limit + 1)]
+    conv = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for t in range(d, limit + 1, d):
+            conv[t] += mu[d] * arith.euler_phi(t // d)
+    for t in range(1, limit + 1):
+        assert _mu_phi(t) == conv[t], t
+
+
+def test_dirichlet_agrees_with_sympy_on_64_bits():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(28)
+    values = [rng.randrange(1, 2**64) for _ in range(30)]
+    # 13-smooth values below 2^40, with about a thousand divisors each
+    for _ in range(4):
+        n = 1
+        while (p := rng.choice((2, 3, 5, 7, 11, 13))) * n < 2**40:
+            n *= p
+        values.append(n)
+    for t in values:
+        expected = sum(sympy.mobius(d) * sympy.totient(t // d) for d in sympy.divisors(t))
+        assert _mu_phi(t) == expected, t
 
 
 def test_dirichlet_rejects_zero():
     with pytest.raises(ValueError):
-        arith.dirichlet(arith.mobius, arith.euler_phi, 0)
+        _mu_phi(0)
 
 
 # --- factorize ---------------------------------------------------------------
@@ -149,18 +152,22 @@ def test_factorize_primes_are_prime(n):
         assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
-# --- is_prime ------------------------------------------------------------------
+# --- primality, as factorize reports it ------------------------------------------
+
+def is_prime(n):
+    return arith.factorize(n) == [(n, 1)]
+
 
 def test_is_prime_matches_divisor_scan():
     for n in range(1, 5001):
-        assert arith.is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
 
 
 def test_is_prime_large():
-    assert arith.is_prime(2**31 - 1)
-    assert not arith.is_prime(2**32 + 1)  # 641 * 6700417
+    assert is_prime(2**31 - 1)
+    assert arith.factorize(2**32 + 1) == [(641, 1), (6700417, 1)]
     with pytest.raises(ValueError):
-        arith.is_prime(0)
+        arith.factorize(0)
 
 
 # --- differential checks against sympy on 64-bit inputs -------------------------
@@ -226,9 +233,7 @@ def test_kernel_matches_sympy(make_inputs):
         assert n <= arith.U64_MAX
         assert arith.factorize(n) == sorted(sympy.factorint(n).items()), n
         assert arith.euler_phi(n) == sympy.totient(n), n
-        assert arith.mobius(n) == sympy.mobius(n), n
         assert arith.tau(n) == sympy.divisor_count(n), n
-        assert arith.is_prime(n) == sympy.isprime(n), n
         assert arith.divisors(n) == sympy.divisors(n), n
 
 
@@ -238,9 +243,9 @@ def test_miller_rabin_bases_are_exact_for_64_bits():
     # psi_12 = 318665857834031151167461, which is past 2^64
     assert arith._MR_BASES == tuple(sympy.primerange(38))
     assert PSI[12] > arith.U64_MAX
-    assert arith.is_prime(LARGEST_64_BIT_PRIME)
+    assert is_prime(LARGEST_64_BIT_PRIME)
     for n in PSEUDOPRIMES:
-        assert not arith.is_prime(n), n
+        assert not is_prime(n), n
 
 
 # --- Miller-Rabin bases sized to n -----------------------------------------------
@@ -317,8 +322,8 @@ def _tier_band_inputs(sympy):
 def test_sized_miller_rabin_matches_sympy_in_every_tier():
     sympy = pytest.importorskip("sympy")
     for n in _tier_band_inputs(sympy):
-        assert arith._is_prime_large(n) == sympy.isprime(n), n
-        assert arith.is_prime(n) == sympy.isprime(n), n
+        assert arith._miller_rabin(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 # --- the primorial gcd at the trial-division bound ---------------------------------

@@ -42,6 +42,10 @@ def test_brute_bound():
         brute_subgroups(25, 25)
     # override works
     assert len(brute_subgroups(5, 5, bound=625)) == count_total(5, 5)
+    # but not past MAX_BOUND: even Z_1 x Z_1 is refused, before any work
+    for call in (brute_subgroups, cross_check):
+        with pytest.raises(BoundExceededError, match=f"MAX_BOUND = {oracle.MAX_BOUND}"):
+            call(1, 1, bound=oracle.MAX_BOUND + 1)
 
 
 @st.composite
