@@ -11,19 +11,19 @@ each a | m the walk takes the divisors e of n that divide a, e descending so
 that b = a/e ascends, then the divisors c of n that e divides, c ascending,
 with d = c/e.  It lists the divisors of m and of n once each and visits only
 blocks that exist: with n = 1 it takes tau(m) steps.  A block's tuples are
-the (a, b, c, d, l) with l a unit mod e.  The units of e are listed once per
-(a, b), up to UNITS_HEAD of them, and that head serves every block of the
-pair; any further units are produced lazily, so e may be a 64-bit prime and
-memory holds one head at a time.  The subgroup's order a*d and its invariant
-factors gcd(b, d) and lcm(a, c) depend only on the block, as does every
-generator coordinate except the first generator's y = l*n/c mod n, so a
-caller that lists many tuples computes them once per block.
+the (a, b, c, d, l) with l a unit mod e.  For e <= UNITS_HEAD the units of e
+are listed once per (a, b), and that list serves every block of the pair;
+for a larger e each block draws its units lazily from 1, so e may be a
+64-bit prime.  The subgroup's order a*d and its invariant factors gcd(b, d)
+and lcm(a, c) depend only on the block, as does every generator coordinate
+except the first generator's y = l*n/c mod n, so a caller that lists many
+tuples computes them once per block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, cycle, islice
+from itertools import cycle
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
@@ -147,34 +147,29 @@ def check_membership(m: int, n: int, t: GoursatTuple) -> None:
         raise TupleMembershipError(f"ell = {ell} is not coprime to a/b = {e}")
 
 
-# The walk lists the units mod e = a/b once per (a, b), up to this many; the
-# list is the head shared by every block of that (a, b).  Past a full head
-# (e a 64-bit prime, say) the units follow lazily, block by block.
+# For e = a/b <= UNITS_HEAD the walk lists the units mod e once per (a, b), for
+# every block of the pair; for a larger e each block draws its units lazily.
 UNITS_HEAD = 2048
 
 
-def _units(e: int, start: int = 1) -> Iterator[int]:
-    """The l in start..e coprime to e, ascending.  Lazy: e may be a 64-bit prime."""
-    return (ell for ell in range(start, e + 1) if gcd(ell, e) == 1)
+def _units(e: int) -> Iterator[int]:
+    """The l in 1..e coprime to e, ascending.  Lazy: e may be a 64-bit prime."""
+    return (ell for ell in range(1, e + 1) if gcd(ell, e) == 1)
 
 
 def _blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int, Iterable[int]]]:
     """Yield (a, b, c, d, units) for a | m, b = a/e for each e | n dividing
     a, and c | n divisible by e with d = c/e, lexicographic in (a, b, c).
-    units iterates the block's l, the units mod e ascending: the head of
-    (a, b), then the rest from _units."""
+    units iterates the block's l, the units mod e ascending: one list per
+    (a, b) for e <= UNITS_HEAD, else a fresh _units(e) per block."""
     divs_n = divisors(n)
     for a in divisors(m):
         for e in reversed([e for e in divs_n if a % e == 0]):
             b = a // e
-            head = list(islice(_units(e), UNITS_HEAD))
-            # a head shorter than UNITS_HEAD holds every unit; after a full
-            # one the rest follow lazily, in each block
-            more = len(head) == UNITS_HEAD
+            listed = list(_units(e)) if e <= UNITS_HEAD else None
             for c in divs_n:
                 if c % e == 0:
-                    units = chain(head, _units(e, head[-1] + 1)) if more else head
-                    yield a, b, c, c // e, units
+                    yield a, b, c, c // e, listed or _units(e)
 
 
 def enumerate_tuples(m: int, n: int) -> Iterator[GoursatTuple]:

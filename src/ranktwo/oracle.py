@@ -33,14 +33,13 @@ tuple's mask is formed from its rows (`goursat._rows`, the paper's
 expansion of rows into points is checked by the tests (the row masks
 against the encoded `materialize` sets, `materialize` against the
 paper's formula, and the `find_tuple` round trips), not by `cross_check`.
-`_Grid.encode` serves only `classify`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .counting import (TypeKey, build_table, count_by_type, count_cyclic,
                        count_total)
@@ -118,13 +117,6 @@ class _Grid:
             h |= block
             tx, ty = 2 * tx % m, 2 * ty % n
         return h
-
-    def encode(self, points: Iterable[tuple[int, int]]) -> int:
-        n = self.n
-        bits = bytearray(b"0") * self.size
-        for x, y in points:
-            bits[x * n + y] = 49  # "1"
-        return int(bits[::-1], 2)
 
     def decode(self, s: int) -> ElementSet:
         n = self.n
@@ -233,14 +225,15 @@ def classify(s: ElementSet) -> tuple[int, int, TypeKey]:
     """
     m, n = s.ambient
     g = _Grid(m, n)
-    seen = set()
-    for p in s.elements:
-        if not (0 <= p[0] < m and 0 <= p[1] < n):
-            raise ValueError(f"{p} is not a point of Z_{m} x Z_{n}")
-        if p in seen:
-            raise ValueError(f"{p} is listed twice")
-        seen.add(p)
-    mask = g.encode(s.elements)
+    bits = bytearray(b"0") * g.size  # index x*n + y, "1" for a point of s
+    for x, y in s.elements:
+        if not (0 <= x < m and 0 <= y < n):
+            raise ValueError(f"{(x, y)} is not a point of Z_{m} x Z_{n}")
+        p = x * n + y
+        if bits[p] == 49:  # "1"
+            raise ValueError(f"{(x, y)} is listed twice")
+        bits[p] = 49
+    mask = int(bits[::-1], 2)
     if not mask & 1:
         raise ValueError("not a subgroup: missing (0, 0)")
     outside = g.full ^ mask

@@ -536,21 +536,21 @@ def test_enumerate_64_bit_prime_square_stays_lazy(capsys, fmt):
 
 
 def test_enumerate_lists_no_more_units_than_its_limit(capsys, monkeypatch):
-    # the two a/b = 1 records draw l = 1 once, and the block a/b = p opens
-    # with a head of at most UNITS_HEAD units, of which --limit takes three
+    # the two a/b = 1 records share one listed l = 1, and the block a/b = p
+    # draws its units lazily, of which --limit takes three
     p = LARGEST_64_BIT_PRIME
     expected = reference_enumerate(p, p, "plain", 5)
     drawn = []
     units = goursat._units
 
-    def counted(e, start=1):
-        for ell in units(e, start):
+    def counted(e):
+        for ell in units(e):
             drawn.append(ell)
             yield ell
 
     monkeypatch.setattr(goursat, "_units", counted)
     assert run(capsys, "enumerate", str(p), str(p), "--limit", "5") == (0, expected, "")
-    assert len(drawn) <= 2 + goursat.UNITS_HEAD
+    assert len(drawn) <= 5
 
 
 class _NoWrites:

@@ -18,6 +18,7 @@ from ranktwo import (
     enumerate_tuples,
     tau,
 )
+from ranktwo import counting
 from ranktwo.counting import count_by_order, count_by_type, count_cyclic, count_total
 
 from paper_forms import (
@@ -156,6 +157,19 @@ def test_count_by_type_partition():
                         cyclic += cnt
             assert total == count_total(m, n)
             assert cyclic == count_cyclic(m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (12, 18), (720, 720), (64, 27), (2**10, 2**3)])
+def test_count_by_type_refuses_exactly_past_its_step_cap(monkeypatch, m, n):
+    # the walk takes tau(gcd(i, j)) steps at each (i, j)
+    steps = sum(len(divisors(math.gcd(i, j))) for i in divisors(m) for j in divisors(n))
+    monkeypatch.setattr(counting, "MAX_TYPE_STEPS", steps)
+    assert count_by_type(m, n)
+    monkeypatch.setattr(counting, "MAX_TYPE_STEPS", steps - 1)
+    with pytest.raises(ValueError, match=f"MAX_TYPE_STEPS = {steps - 1} steps, got {steps}"):
+        count_by_type(m, n)
+    with pytest.raises(ValueError, match="MAX_TYPE_STEPS"):
+        count_by_order(m, n)
 
 
 def test_count_by_type_matches_tuple_classification():

@@ -116,6 +116,15 @@ def test_enumerate_runs_past_the_units_head_of_a_64_bit_prime():
     assert tuples[2:] == [GoursatTuple(p, 1, p, 1, ell) for ell in range(1, count - 1)]
 
 
+@pytest.mark.parametrize("m, n", [(4106, 4106), (6159, 6159), (4106, 6159)])
+def test_enumerate_equals_the_filter_walk_past_the_units_head(m, n):
+    # 2053 is a prime past UNITS_HEAD, so a/b = 2053 draws its units lazily;
+    # each (a, b) with a/b = 2053 has two blocks, c = 2053 and c = n, and
+    # each block starts its units again at l = 1
+    assert 2053 > UNITS_HEAD
+    assert list(enumerate_tuples(m, n)) == list(filter_walk(m, n))
+
+
 def test_goursat_tuple_prints_and_orders_as_before():
     t = GoursatTuple(6, 2, 18, 6, 1)
     assert str(t) == "(6,2,18,6,1)"

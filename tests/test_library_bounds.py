@@ -6,10 +6,8 @@ that the call either finishes or is refused up front with the named
 exception, within a wall-time budget at least ten times what the row takes
 on a 2-vCPU x86 host (Python 3.11).  Rows sit at each library cap and one
 past it: MAX_POINTS for `materialize` and `find_tuple`, MAX_BOUND for the
-oracle, and 64 bits for everything else.  The rows run two at a time.
-
-`counting.count_by_type` has no row: its walk is tau(m)*tau(n)*tau(gcd)
-steps with no cap, so it is still unbounded (ROADMAP item 2).
+oracle, MAX_TYPE_STEPS for `counting.count_by_type`, and 64 bits for
+everything else.  The rows run two at a time.
 """
 
 import os
@@ -58,6 +56,8 @@ ROWS = [
     ("count_cyclic", "counting.count_cyclic(SMOOTH64, SMOOTH64)", "OverflowError", 20),
     # about 1.1 s
     ("count_total", "counting.count_total(SMOOTH64, SMOOTH64)", "OverflowError", 20),
+    # 481,250 of the by-type walk's MAX_TYPE_STEPS: about 0.4-0.7 s
+    ("count_by_type", "counting.count_by_type(720720, 720720)", "ok", 10),
     # the largest table in 64 bits: about 0.4 s
     ("build_table", "build_table(3491888400, 3491888400)", "ok", 10),
     # the first point of the largest set listed, then the set: about 0.3 s
@@ -98,6 +98,8 @@ ROWS = [
     ("cross_check", "cross_check(P64, P64, MAX_BOUND)", "BoundExceededError", 5),
     ("classify", "classify(ElementSet((1, MAX_BOUND + 1), ((0, 0),)))",
      "BoundExceededError", 5),
+    ("count_by_type", "counting.count_by_type(3491888400, 3491888400)", "ValueError", 5),
+    ("count_by_type", "counting.count_by_type(SMOOTH64, SMOOTH64)", "ValueError", 5),
     ("build_table", "build_table(P64, P64)", "OverflowError", 5),
     ("divisors", "divisors(U64 + 1)", "OverflowError", 5),
     ("tau", "tau(U64 + 1)", "OverflowError", 5),
