@@ -3,24 +3,31 @@
 Every count the library reports comes from one per-prime engine: the
 local table of Z_{p^alpha} x Z_{p^beta} from the (a, b, c, d, l)
 parametrization, multiplied over the primes of m*n (`local_table`,
-`count_subgroups`, `_table_rows`).  `_table_rows` forms the full table as
-ascending row lists, which the CLI's `table` writes as they are and
-`build_table` reads into dicts.  The paper's divisor sums stay here as
-the independent side `verify` checks the brute-force oracle against: the
-total and cyclic counts as one sum over t | gcd(m, n) with two weights,
-phi and mu*phi, the second read prime by prime off t's factorization, and
-the by-type sum as one capped walk giving every type at once.
-`count_by_order` sums that walk by order; `verify` skips it, as a type
-fixes its order.  The paper's other forms (per-value sums, gcd double
-sums, prime-power closed forms) are tested statements in the test suite.
+`count_subgroups`, `_table_rows`).  The local tables are memoized in
+`_local`, keyed by (p, alpha, beta), read-only, in 32 slots: enough for
+every prime of one 64-bit pair, so later requests on the same pair reuse
+them; `local_table` returns a fresh dict copied from the memo.
+`_table_rows` forms the full table as ascending row lists, which the CLI's
+`table` writes as they are and `build_table` reads into dicts.  The
+paper's divisor sums stay here as the independent side `verify` checks the
+brute-force oracle against: the total and cyclic counts as one sum over
+t | gcd(m, n) with two weights, phi and mu*phi, the second read prime by
+prime off t's factorization, and the by-type sum as one capped walk giving
+every type at once.  `count_by_order` sums that walk by order; `verify`
+skips it, as a type fixes its order.  The paper's other forms (per-value
+sums, gcd double sums, prime-power closed forms) are tested statements in
+the test suite.
 Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
+from .arith import _factorize
 from .arith import check_nat, checked_add, checked_mul, divisors, euler_phi, factorize, tau
 
 
@@ -137,15 +144,12 @@ def count_cyclic(m: int, n: int) -> int:
     return _gcd_sum(m, n, _mu_phi)
 
 
-def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int], int]:
-    """Subgroup counts of Z_{p^alpha} x Z_{p^beta}, keyed by (i, j).
-
-    A subgroup under key (i, j) has type Z_{p^i} x Z_{p^j} and so order
-    p^(i+j).  The tuples are a = p^x, b = p^y, e = a/b = p^(x-y), c = p^z
-    with z >= x-y, and d = c/e = p^w; the type is (gcd(b, d), lcm(a, c)),
-    whose product is the order a*d.  Each tuple stands for its phi(e)
-    choices of l, so l is never iterated.  Either exponent may be zero.
-    """
+# m*n has at most 26 distinct primes when m, n < 2^64: the first 26 primes
+# split into 13620761564686598014 * 17096133960836669505.  So 32 slots hold
+# every table of one request, and later requests on the same pair hit.
+@lru_cache(maxsize=32)
+def _local(p: int, alpha: int, beta: int) -> MappingProxyType:
+    """`local_table`'s counts, memoized and read-only."""
     table: dict[tuple[int, int], int] = {}
     for x in range(alpha + 1):
         for y in range(x + 1):
@@ -155,13 +159,27 @@ def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int], int]:
                 w = z - k
                 key = (min(y, w), max(x, z))
                 table[key] = table.get(key, 0) + phi
-    return table
+    return MappingProxyType(table)
+
+
+def local_table(p: int, alpha: int, beta: int) -> dict[tuple[int, int], int]:
+    """Subgroup counts of Z_{p^alpha} x Z_{p^beta}, keyed by (i, j).
+
+    A subgroup under key (i, j) has type Z_{p^i} x Z_{p^j} and so order
+    p^(i+j).  The tuples are a = p^x, b = p^y, e = a/b = p^(x-y), c = p^z
+    with z >= x-y, and d = c/e = p^w; the type is (gcd(b, d), lcm(a, c)),
+    whose product is the order a*d.  Each tuple stands for its phi(e)
+    choices of l, so l is never iterated.  Either exponent may be zero.
+    The table is copied out of the memo `_local`, so each call returns a
+    fresh dict.
+    """
+    return dict(_local(p, alpha, beta))
 
 
 def _exponents(m: int, n: int) -> dict[int, tuple[int, int]]:
     """(v_p(m), v_p(n)) for every prime p of m*n."""
-    exps = {p: (e, 0) for p, e in factorize(m)}
-    for p, e in factorize(n):
+    exps = {p: (e, 0) for p, e in _factorize(m)}
+    for p, e in _factorize(n):
         exps[p] = (exps.get(p, (0, 0))[0], e)
     return exps
 
@@ -198,12 +216,10 @@ def count_subgroups(
         want_c, rest = _split(rest, p)
         want_i, u = _split(u, p)
         want_j, v = _split(v, p)
-        factors.append(sum(
-            cnt for (i, j), cnt in local_table(p, alpha, beta).items()
-            if (order is None or i + j == want_c)
-            and (key is None or (i, j) == (want_i, want_j))
-            and (not cyclic or i == 0)
-        ))
+        local, want = _local(p, alpha, beta), (want_i, want_j)
+        rows = local.items() if key is None else [(want, local.get(want, 0))]
+        factors.append(sum(cnt for (i, j), cnt in rows
+                           if (order is None or i + j == want_c) and (not cyclic or i == 0)))
     if rest != 1 or u != 1 or v != 1 or 0 in factors:
         return 0
     result = 1
@@ -231,7 +247,7 @@ def _table_rows(m: int, n: int) -> tuple[int, int, list, list]:
     check_nat(n, "n")
     check_nat(m * n, "m*n")
     local_tables = sorted(
-        ((p, local_table(p, alpha, beta)) for p, (alpha, beta) in _exponents(m, n).items()),
+        ((p, _local(p, alpha, beta)) for p, (alpha, beta) in _exponents(m, n).items()),
         key=lambda item: len(item[1]),
     )
     total = cyclic = 1
