@@ -14,11 +14,11 @@ table.  argparse is imported only then.
 Every number argument passes `_positive`, which refuses a value below 1 or
 past 64 bits before any output.  Every value written is an int or a fixed
 token, so output is f-string rows that need no quoting, written as they
-go (by table and enumerate in batches of BATCH_ROWS).  table writes
-counting's ascending row lists as they are, with no dict or TypeKey between
-them and the output.  Only verify's
-reports, whose mismatch text needs escaping, are written by `json.dumps`;
-verify imports `json` itself, so no other command loads it.
+go (by table, enumerate and verify's skipped pairs in batches of BATCH_ROWS).
+table writes counting's ascending row lists as they are, with no dict or
+TypeKey between them and the output.  Only verify's reports, whose mismatch
+text needs escaping, are written by `json.dumps`; verify imports `json`
+itself, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def cmd_figure(args) -> int:
 
 # --- verify --------------------------------------------------------------
 
-# A --range sweep covers at most this many pairs, refused up front past it.
-# At about 450k skipped pairs/s (2-vCPU x86, Python 3.11), 10^6 take about 2.3 s.
+# A --range sweep covers at most this many pairs, refused up front past it.  At --bound 1,
+# 1000 x 1000 takes under 1 s and 10^6 x 1 about 3 s (a process, 2-vCPU x86, Python 3.11).
 MAX_RANGE_PAIRS = 10**6
 # A --range sweep checks at most this much work, the sum of m*n over the
 # pairs within the bound, refused up front past it.  A sweep runs at about
@@ -275,14 +275,15 @@ MAX_RANGE_PAIRS = 10**6
 MAX_RANGE_WORK = 1_500_000
 
 
+def _range_rows(m_max: int, n_max: int, bound: int):
+    """Each row m <= m_max with its k: (m, n) is within the bound just when n <= k."""
+    return ((m, min(n_max, bound // m)) for m in range(1, m_max + 1))
+
+
 def _range_work(m_max: int, n_max: int, bound: int) -> int:
-    """The sum of m*n over the pairs of 1..m_max x 1..n_max with m*n <= bound:
-    for each m, the n up to k = min(n_max, bound // m)."""
-    work = 0
-    for m in range(1, min(m_max, bound) + 1):
-        k = min(n_max, bound // m)
-        work += m * k * (k + 1) // 2
-    return work
+    """The sum of m*n over the pairs of 1..m_max x 1..n_max with m*n <= bound."""
+    return sum(m * k * (k + 1) // 2
+               for m, k in _range_rows(min(m_max, bound), n_max, bound))
 
 
 def cmd_verify(args) -> int:
@@ -304,31 +305,22 @@ def cmd_verify(args) -> int:
         if work > MAX_RANGE_WORK:
             raise ValueError(f"--range checks at most {MAX_RANGE_WORK} in the sum of "
                              f"m*n over the pairs within --bound {bound}, got {work}")
-        pairs = itertools.product(range(1, m_max + 1), range(1, n_max + 1))
+        n_min, rows = 1, _range_rows(m_max, n_max, bound)
     elif args.m is None or args.n is None:
         raise ValueError("verify needs either m n or --range M N")
     else:
-        pairs, size = [(_positive(args.m, "m"), _positive(args.n, "n"))], 1
+        m, n_min = _positive(args.m, "m"), _positive(args.n, "n")
+        n_max, rows, size = n_min, [(m, n_min)], 1
 
-    # pairs are checked and written one at a time.  head is the text due
-    # before the next row: the header, then json's separator.  So a single
-    # pair, refused over the bound, has written nothing.
+    # a single pair is checked even past the bound, so refused before head is written;
+    # head is the header, then json's separator, and a sweep's first pair (1, 1) writes it
     fmt = args.format
     write = sys.stdout.write
     head = {"json": '{"pairs": [', "csv": "m,n,subgroups,mismatches\n"}.get(fmt, "")
     checked = total_mismatches = 0
-    skipped = []  # json only; the other formats count skips as size - checked
-    for m, n in pairs:
-        try:
+    for m, k in rows:
+        for n in range(n_min, k + 1):
             r = oracle.cross_check(m, n, bound)
-        except oracle.BoundExceededError as exc:
-            if size == 1:
-                raise
-            if fmt == "json":
-                skipped.append([m, n])
-                continue
-            row = f"{m},{n},,\n" if fmt == "csv" else f"{m} {n}: SKIP ({exc})\n"
-        else:
             checked += 1
             total_mismatches += len(r.mismatches)
             if fmt == "json":
@@ -345,12 +337,21 @@ def cmd_verify(args) -> int:
                        f"{m} {n}: {status} ({r.subgroup_count} subgroups)\n")
                 row += "".join(f"  mismatch {side} key={key}: oracle={exp} formula={act}\n"
                                for side, key, exp, act in r.mismatches)
-        write(head + row)
-        head = ", " if fmt == "json" else ""
+            write(head + row)
+            head = ", " if fmt == "json" else ""
+        if fmt != "json":
+            _write_batches(f"{m},{n},,\n" if fmt == "csv" else
+                           f"{m} {n}: SKIP ({oracle._past_bound(m, n, bound)})\n"
+                           for n in range(k + 1, n_max + 1))
 
     if fmt == "json":
-        tail = f', "skipped": {json.dumps(skipped)}' if skipped else ""
-        write(f'], "total_mismatches": {total_mismatches}{tail}}}\n')
+        write(f'], "total_mismatches": {total_mismatches}')
+        if checked < size:  # the rows walked again; each skip opens with ", "
+            skips = (f", [{m}, {n}]" for m, k in _range_rows(m_max, n_max, bound)
+                     for n in range(k + 1, n_max + 1))
+            write(', "skipped": [' + next(skips)[2:])
+            _write_batches(skips)
+        write("]}\n" if checked < size else "}\n")
     elif fmt == "plain" and size > 1:
         skip_note = f"{size - checked} skipped, " if checked < size else ""
         write(f"{checked} pairs checked, {skip_note}{total_mismatches} mismatches\n")

@@ -70,6 +70,10 @@ class OracleReport(NamedTuple):
         return not self.mismatches
 
 
+def _past_bound(m: int, n: int, bound: int) -> str:
+    return f"m*n = {m * n} exceeds bound {bound}"
+
+
 def _element_order(x: int, y: int, m: int, n: int) -> int:
     return lcm(m // gcd(x, m), n // gcd(y, n))
 
@@ -86,7 +90,7 @@ class _Grid:
         if bound > MAX_BOUND:
             raise BoundExceededError(f"bound {bound} exceeds MAX_BOUND = {MAX_BOUND}")
         if m * n > bound:
-            raise BoundExceededError(f"m*n = {m * n} exceeds bound {bound}")
+            raise BoundExceededError(_past_bound(m, n, bound))
         self.m, self.n, self.size = m, n, m * n
         self.full = (1 << self.size) - 1
         self.rows = self.full // ((1 << n) - 1)  # bit x*n of every row x
@@ -206,7 +210,7 @@ def _brute_masks(g: _Grid) -> dict[int, int]:
 def brute_subgroups(m: int, n: int, bound: int = DEFAULT_BOUND) -> set[ElementSet]:
     """All subgroups of Z_m x Z_n as sums of two cyclic subgroups.
 
-    m*n past bound, or a bound past MAX_BOUND, raises BoundExceededError.
+    m*n past bound (`_past_bound`), or a bound past MAX_BOUND, raises BoundExceededError.
     """
     g = _Grid(m, n, bound)
     return {g.decode(s) for s in _brute_masks(g)}
@@ -257,8 +261,8 @@ def cross_check(m: int, n: int, bound: int = DEFAULT_BOUND) -> OracleReport:
     Each fact is a dict; a scalar sits under the key None.  The oracle and
     paper sides hold no zero counts.  Each fact is compared over the union
     of both sides' keys, so a key on one side only, even with a count of 0,
-    is a mismatch with None on the other.  m*n past bound, or a bound past
-    MAX_BOUND, raises BoundExceededError.
+    is a mismatch with None on the other.  m*n past bound (`_past_bound`), or
+    a bound past MAX_BOUND, raises BoundExceededError.
     """
     g = _Grid(m, n, bound)
     brute = _brute_masks(g)

@@ -8,22 +8,13 @@ traceback on stderr, nothing on stdout for a refusal, where given the number
 of lines on stdout, and a wall-time budget at least ten times what the row
 takes on a 2-vCPU x86 host (Python 3.11).  Each child may map at most
 CHILD_AS_BYTES, so a row whose memory runs away fails with a MemoryError
-instead of swapping.  The rows run two at a time.
+instead of swapping.  The rows run two at a time, through `bounds_runner`.
 """
-
-import os
-import resource
-import subprocess
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
+from bounds_runner import run_rows
 from ranktwo import cli, oracle
-
-SRC = Path(__file__).parent.parent / "src"
 
 P64 = 18446744073709551557  # the largest 64-bit prime
 SEMI60 = 1000000007 * 999999937  # a 60-bit semiprime
@@ -35,8 +26,6 @@ CHILD_AS_BYTES = 2 << 30
 # (argv, exit code, budget in seconds[, stdout line count]), slowest first,
 # so that the two lanes finish together
 ROWS = [
-    # MAX_RANGE_PAIRS pairs, each skipped at --bound 1: about 2.3 s
-    (["verify", "--range", "1000", "1000", "--bound", "1"], 0, 60),
     # the first 10^6 records of SMOOTH64 x SMOOTH64: about 2.1 s
     (["enumerate", str(SMOOTH64), str(SMOOTH64), "--limit", "1000000"], 0, 30, 1000000),
     # 529,920 records, each block one unit: about 1.6 s
@@ -45,6 +34,8 @@ ROWS = [
     (["verify", "--range", "48", "48", "--bound", str(oracle.MAX_BOUND)], 0, 90),
     # tau(SMOOTH64) records, one per block: about 0.8 s
     (["enumerate", str(SMOOTH64), "1"], 0, 15, 184320),
+    # MAX_RANGE_PAIRS pairs, all but (1, 1) skipped at --bound 1: about 0.5 s
+    (["verify", "--range", "1000", "1000", "--bound", "1"], 0, 60),
     # the largest table in 64 bits: about 0.3-0.4 s in each format
     (["table", "3491888400", "3491888400"], 0, 10, 295251),
     (["table", "3491888400", "3491888400", "--format", "json"], 0, 10, 1),
@@ -82,28 +73,10 @@ ROWS = [
 ]
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
-
-
-def _run(argv, budget):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    start = time.perf_counter()
-    try:
-        done = subprocess.run([sys.executable, "-m", "ranktwo.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=budget,
-                              preexec_fn=_limit_memory)
-    except subprocess.TimeoutExpired:
-        return None, "", "", time.perf_counter() - start
-    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
-
-
 @pytest.fixture(scope="module")
 def results():
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(_run, argv, budget) for argv, _, budget, *_ in ROWS]
-        return [f.result() for f in futures]
+    return run_rows(["-m", "ranktwo.cli"], [(argv, budget) for argv, _, budget, *_ in ROWS],
+                    CHILD_AS_BYTES)
 
 
 def test_the_just_past_rows_are_one_past_the_caps():

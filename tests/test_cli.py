@@ -713,11 +713,26 @@ def test_verify_missing_args(capsys):
     assert code == 2
 
 
-def test_verify_range_skips_pairs_over_the_bound(capsys):
+def test_verify_range_skips_pairs_over_the_bound(capsys, monkeypatch):
+    from ranktwo import oracle
+
+    # a sweep sends only the pairs within the bound to brute force
+    checked = []
+    cross_check = oracle.cross_check
+
+    def recording(m, n, bound):
+        checked.append((m, n))
+        return cross_check(m, n, bound)
+
+    monkeypatch.setattr(oracle, "cross_check", recording)
     code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4")
     assert code == 0
     assert "2 3: SKIP (m*n = 6 exceeds bound 4)" in out.splitlines()
     assert out.splitlines()[-1] == "6 pairs checked, 3 skipped, 0 mismatches"
+    # a skipped pair's row carries the text that refuses the pair on its own
+    code, single, err = run(capsys, "verify", "2", "3", "--bound", "4")
+    assert (code, single) == (2, "")
+    assert f"2 3: SKIP ({err.removeprefix('error: ').rstrip()})" in out.splitlines()
 
     code, out, _ = run(capsys, "verify", "--range", "3", "3", "--bound", "4",
                        "--format", "json")
@@ -734,6 +749,8 @@ def test_verify_range_skips_pairs_over_the_bound(capsys):
     assert len(rows) == 10
     assert [r for r in rows if r[2] == ""] == [["2", "3", "", ""], ["3", "2", "", ""],
                                                ["3", "3", "", ""]]
+    within = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    assert checked == within + [(2, 3)] + within + within
 
 
 def test_verify_range_without_skips_has_no_skip_fields(capsys):
@@ -860,23 +877,29 @@ class _Tail:
         pass
 
 
-@pytest.mark.parametrize("fmt, last_line", [
-    ("plain", "1 pairs checked, 9999 skipped, 0 mismatches"),
-    ("csv", "100,100,,"),
-], ids=["plain", "csv"])
-def test_verify_range_streams_its_output(fmt, last_line):
-    # a sweep holding its pairs as lists peaks at 2-4 MB here, and grows with M*N
+@pytest.mark.parametrize("m_max, n_max, fmt, tail", [
+    ("100", "100", "plain", "\n1 pairs checked, 9999 skipped, 0 mismatches\n"),
+    ("100", "100", "csv", "\n100,100,,\n"),
+    # one line, which the skipped pairs close
+    ("100", "100", "json", ", [100, 99], [100, 100]]}\n"),
+    # one pair per row: a sweep that holds its 14,000 rows peaks at 0.54 MiB
+    ("14000", "1", "csv", "\n14000,1,,\n"),
+], ids=["plain", "csv", "json", "tall"])
+def test_verify_range_streams_its_output(m_max, n_max, fmt, tail):
+    # a sweep holding its pairs as lists peaks at 2-4 MB at 100 x 100, and
+    # grows with M*N; one batch of BATCH_ROWS json skips takes about 0.2 MiB
     sink = _Tail()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            code = main(["verify", "--range", "100", "100", "--bound", "1", "--format", fmt])
+            code = main(["verify", "--range", m_max, n_max, "--bound", "1",
+                         "--format", fmt])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert sink.tail.endswith(f"\n{last_line}\n")
-    assert peak < 2**20
+    assert sink.tail.endswith(tail)
+    assert peak < 2**19
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])

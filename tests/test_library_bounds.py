@@ -7,22 +7,14 @@ exception, within a wall-time budget at least ten times what the row takes
 on a 2-vCPU x86 host (Python 3.11).  Rows sit at each library cap and one
 past it: MAX_POINTS for `materialize` and `find_tuple`, MAX_BOUND for the
 oracle, MAX_TYPE_STEPS for `counting.count_by_type`, and 64 bits for
-everything else.  The rows run two at a time.
+everything else.  The rows run two at a time, through `bounds_runner`.
 """
-
-import os
-import resource
-import subprocess
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
 import ranktwo
+from bounds_runner import run_rows
 
-SRC = Path(__file__).parent.parent / "src"
 CHILD_AS_BYTES = 1 << 30
 
 # The child evaluates one row's call and prints "ok" or the name of the
@@ -113,28 +105,10 @@ ROWS = [
 ]
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
-
-
-def _run(call, budget):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    start = time.perf_counter()
-    try:
-        done = subprocess.run([sys.executable, "-c", PRELUDE, call], env=env,
-                              capture_output=True, text=True, timeout=budget,
-                              preexec_fn=_limit_memory)
-    except subprocess.TimeoutExpired:
-        return None, "", time.perf_counter() - start
-    return done.stdout.strip(), done.stderr, time.perf_counter() - start
-
-
 @pytest.fixture(scope="module")
 def results():
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(_run, call, budget) for _, call, _, budget in ROWS]
-        return [f.result() for f in futures]
+    return run_rows(["-c", PRELUDE], [([call], budget) for _, call, _, budget in ROWS],
+                    CHILD_AS_BYTES)
 
 
 def test_every_public_callable_has_a_row():
@@ -155,7 +129,7 @@ def test_the_cap_rows_are_at_the_caps():
 @pytest.mark.parametrize("row", range(len(ROWS)), ids=[r[1] for r in ROWS])
 def test_library_bound_row(results, row):
     _, call, expected, budget = ROWS[row]
-    outcome, err, seconds = results[row]
-    assert outcome is not None, f"{call} still ran after {budget} s"
-    assert outcome == expected, (call, err)
+    code, out, err, seconds = results[row]
+    assert code is not None, f"{call} still ran after {budget} s"
+    assert out.strip() == expected, (call, err)
     assert seconds < budget, call
